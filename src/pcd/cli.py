@@ -211,7 +211,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def observer(step, obs, obs_masked, action, result) -> None:
+    def observer(step, scene, obs, obs_masked, action, result) -> None:
         write_ppm(obs, out_dir / f"step_{step:04d}.ppm")
         if obs_masked is not None:
             write_ppm(obs_masked, out_dir / f"step_{step:04d}_masked.ppm")

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import reduce
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from .dists import DecodeConfig, KdeConfig
 from .world import TASK_KINDS, ShiftSpec
@@ -98,109 +99,82 @@ class PcdRunConfig:
             raise ValueError("trials must be >= 1")
 
 
+# The JSON form names a few attributes differently or nests them deeper;
+# every other attribute path is its own JSON path.
+_JSON_RENAMES = {
+    "task_kind": "task.kind",
+    "max_steps": "task.max_steps",
+    "shift.kind": "shift.variant",
+    "policy.lam": "policy.lambda",
+    "policy.diffusion_steps": "policy.diffusion.steps",
+    "base_seed": "seed",
+}
+
+
+def _attr_paths(obj: Any, prefix: str = "") -> Iterator[str]:
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _attr_paths(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name
+
+
+# (JSON path, attribute path) for every field: the one map between the two forms.
+_FIELDS: tuple[tuple[str, str], ...] = tuple(
+    (_JSON_RENAMES.get(attr, attr), attr) for attr in _attr_paths(PcdRunConfig())
+)
+
+
 def to_dict(cfg: PcdRunConfig) -> dict[str, Any]:
+    out: dict[str, Any] = {}
+    for json_path, attr_path in _FIELDS:
+        *sections, key = json_path.split(".")
+        node = out
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = reduce(getattr, attr_path.split("."), cfg)
+    return out
+
+
+def _merged(raw: Any, base: dict[str, Any], where: str) -> dict[str, Any]:
+    """base with raw's values laid over it, checking raw against base's keys."""
+    if raw is None:
+        return base
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(raw).__name__}")
+    unknown = set(raw) - set(base)
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
     return {
-        "method": cfg.method,
-        "task": {"kind": cfg.task_kind, "max_steps": cfg.max_steps},
-        "shift": {
-            "variant": cfg.shift.kind,
-            "brightness_offset": cfg.shift.brightness_offset,
-            "distractor_count": cfg.shift.distractor_count,
-            "distractor_label": cfg.shift.distractor_label,
-            "texture_id": cfg.shift.texture_id,
-        },
-        "decode": {
-            "alpha": cfg.decode.alpha,
-            "prob_floor": cfg.decode.prob_floor,
-            "selection": cfg.decode.selection,
-        },
-        "kde": {
-            "n_samples": cfg.kde.n_samples,
-            "bandwidth": cfg.kde.bandwidth,
-            "grid_count": cfg.kde.grid_count,
-            "support_pad": cfg.kde.support_pad,
-        },
-        "mask": {
-            "prompt": cfg.mask.prompt,
-            "tracker": cfg.mask.tracker,
-            "inpaint": cfg.mask.inpaint,
-            "miss_prob": cfg.mask.miss_prob,
-            "jitter": cfg.mask.jitter,
-            "constant_value": cfg.mask.constant_value,
-            "diffusion_iterations": cfg.mask.diffusion_iterations,
-        },
-        "policy": {
-            "kind": cfg.policy.kind,
-            "lambda": cfg.policy.lam,
-            "sharpness": cfg.policy.sharpness,
-            "bins": cfg.policy.bins,
-            "diffusion": {"steps": cfg.policy.diffusion_steps},
-        },
-        "trials": cfg.trials,
-        "seed": cfg.base_seed,
-        "both_metrics": cfg.both_metrics,
+        key: _merged(raw.get(key), value, key if where == "config" else f"{where}.{key}")
+        if isinstance(value, dict)
+        else raw.get(key, value)
+        for key, value in base.items()
     }
 
 
-def _take(section: dict, allowed: dict[str, Any], where: str) -> dict[str, Any]:
-    unknown = set(section) - set(allowed)
-    if unknown:
-        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
-    merged = dict(allowed)
-    merged.update(section)
-    return merged
+def _build(cls: type, values: dict[str, Any]) -> Any:
+    """cls(**values), where a dotted attribute path fills a nested dataclass."""
+    kwargs: dict[str, Any] = {}
+    nested: dict[str, dict[str, Any]] = {}
+    for path, value in values.items():
+        head, _, rest = path.partition(".")
+        if rest:
+            nested.setdefault(head, {})[rest] = value
+        else:
+            kwargs[head] = value
+    default = cls()
+    for head, sub in nested.items():
+        kwargs[head] = _build(type(getattr(default, head)), sub)
+    return cls(**kwargs)
 
 
 def from_dict(raw: dict[str, Any]) -> PcdRunConfig:
-    base = to_dict(PcdRunConfig())
-    top = _take(raw, base, "config")
-    for key in ("task", "shift", "decode", "kde", "mask", "policy"):
-        top[key] = _take(raw.get(key, {}) or {}, base[key], key)
-    top["policy"]["diffusion"] = _take(
-        top["policy"].get("diffusion", {}) or {}, base["policy"]["diffusion"], "policy.diffusion"
-    )
-
-    return PcdRunConfig(
-        method=top["method"],
-        task_kind=top["task"]["kind"],
-        max_steps=top["task"]["max_steps"],
-        shift=ShiftSpec(
-            kind=top["shift"]["variant"],
-            brightness_offset=top["shift"]["brightness_offset"],
-            distractor_count=top["shift"]["distractor_count"],
-            distractor_label=top["shift"]["distractor_label"],
-            texture_id=top["shift"]["texture_id"],
-        ),
-        decode=DecodeConfig(
-            alpha=top["decode"]["alpha"],
-            prob_floor=top["decode"]["prob_floor"],
-            selection=top["decode"]["selection"],
-        ),
-        kde=KdeConfig(
-            n_samples=top["kde"]["n_samples"],
-            bandwidth=top["kde"]["bandwidth"],
-            grid_count=top["kde"]["grid_count"],
-            support_pad=top["kde"]["support_pad"],
-        ),
-        mask=MaskConfig(
-            prompt=top["mask"]["prompt"],
-            tracker=top["mask"]["tracker"],
-            inpaint=top["mask"]["inpaint"],
-            miss_prob=top["mask"]["miss_prob"],
-            jitter=top["mask"]["jitter"],
-            constant_value=top["mask"]["constant_value"],
-            diffusion_iterations=top["mask"]["diffusion_iterations"],
-        ),
-        policy=PolicyConfig(
-            kind=top["policy"]["kind"],
-            lam=top["policy"]["lambda"],
-            sharpness=top["policy"]["sharpness"],
-            bins=top["policy"]["bins"],
-            diffusion_steps=top["policy"]["diffusion"]["steps"],
-        ),
-        trials=top["trials"],
-        base_seed=top["seed"],
-        both_metrics=top["both_metrics"],
+    tree = _merged(raw, to_dict(PcdRunConfig()), "config")
+    return _build(
+        PcdRunConfig,
+        {attr: reduce(dict.__getitem__, path.split("."), tree) for path, attr in _FIELDS},
     )
 
 

@@ -10,6 +10,7 @@ same draws see the same numbers.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import time
@@ -57,7 +58,9 @@ from .raster import Observation
 from .seeding import substream
 from .world import Scene, ShiftSpec, StepResult, World, make_task
 
-Observer = Callable[[int, Observation, Observation | None, np.ndarray, StepResult], None]
+Observer = Callable[
+    [int, Scene, Observation, Observation | None, np.ndarray, StepResult], None
+]
 
 
 # -- records ----------------------------------------------------------------
@@ -285,6 +288,54 @@ def _decode_from_samples(
 
 # -- episode runner ----------------------------------------------------------
 
+Decide = Callable[[Observation, Observation | None, Scene, int], np.ndarray]
+
+
+def _decider(
+    policy, instruction, seed: int, kde_cfg: KdeConfig, decode_cfg: DecodeConfig
+) -> Decide:
+    """The per-step decision for the policy's kind, picked once per episode."""
+    if isinstance(policy, ScriptedExpert):
+        return lambda obs, obs_masked, scene, step: policy.act(scene)
+    if isinstance(policy, SpuriousMixturePolicy):
+        return lambda obs, obs_masked, scene, step: _decode_autoregressive(
+            policy, obs, obs_masked, instruction, decode_cfg, substream(seed, "select", step)
+        )
+    return lambda obs, obs_masked, scene, step: _decode_from_samples(
+        policy, obs, obs_masked, instruction, kde_cfg, decode_cfg, seed, step,
+        substream(seed, "select", step),
+    )
+
+
+def _play(
+    policy,
+    world: World,
+    cfg: PcdRunConfig,
+    seed: int,
+    contrast: bool,
+    steps: list[StepLog],
+    observer: Observer | None,
+) -> None:
+    """The one step loop: decide and step until the world terminates.
+
+    Each step is appended to steps as it completes, so a caller that
+    catches an exception still holds the steps before it. The observer
+    sees the scene the action was decided on.
+    """
+    scene, obs = world.reset(seed)
+    decide = _decider(policy, world.task.instruction, seed, cfg.kde, cfg.decode)
+    pipeline = _MaskPipeline(cfg.mask, world, seed) if contrast else None
+    for step in itertools.count():
+        obs_masked, mask_cells = (None, 0) if pipeline is None else pipeline.masked(obs, scene)
+        action = decide(obs, obs_masked, scene, step)
+        next_scene, result = world.step(scene, action)
+        steps.append(StepLog(result.step, tuple(action), result.success_now, mask_cells))
+        if observer is not None:
+            observer(step, scene, obs, obs_masked, action, result)
+        if result.terminated:
+            return
+        scene, obs = next_scene, result.observation
+
 
 def _run_episode(
     policy,
@@ -297,67 +348,16 @@ def _run_episode(
     start = time.perf_counter()
     steps: list[StepLog] = []
     error: str | None = None
-    success_any = False
-    success_last = False
     try:
-        scene, obs = world.reset(seed)
-        instruction = world.task.instruction
-        pipeline = _MaskPipeline(cfg.mask, world, seed) if contrast else None
-        step_index = 0
-        while True:
-            obs_masked: Observation | None = None
-            mask_cells = 0
-            if pipeline is not None:
-                obs_masked, mask_cells = pipeline.masked(obs, scene)
-            if isinstance(policy, ScriptedExpert):
-                action = policy.act(scene)
-            elif isinstance(policy, SpuriousMixturePolicy):
-                action = _decode_autoregressive(
-                    policy,
-                    obs,
-                    obs_masked,
-                    instruction,
-                    cfg.decode,
-                    substream(seed, "select", step_index),
-                )
-            else:
-                action = _decode_from_samples(
-                    policy,
-                    obs,
-                    obs_masked,
-                    instruction,
-                    cfg.kde,
-                    cfg.decode,
-                    seed,
-                    step_index,
-                    substream(seed, "select", step_index),
-                )
-            scene, result = world.step(scene, action)
-            steps.append(
-                StepLog(
-                    step=result.step,
-                    action=tuple(action),
-                    success_now=result.success_now,
-                    mask_cells=mask_cells,
-                )
-            )
-            if observer is not None:
-                observer(step_index, obs, obs_masked, action, result)
-            success_any = success_any or result.success_now
-            success_last = result.success_now
-            obs = result.observation
-            step_index += 1
-            if result.terminated:
-                break
+        _play(policy, world, cfg, seed, contrast, steps, observer)
     except Exception as exc:  # failed episodes score as failures, never crash a batch
         error = f"{type(exc).__name__}: {exc}"
-        success_any = False
-        success_last = False
+    scored = error is None and bool(steps)
     return EpisodeRecord(
         seed=seed,
         steps=tuple(steps),
-        success_completion=success_any,
-        success_maxstep=success_last,
+        success_completion=scored and any(s.success_now for s in steps),
+        success_maxstep=scored and steps[-1].success_now,
         total_steps=len(steps),
         duration_s=time.perf_counter() - start,
         error=error,
@@ -626,8 +626,10 @@ def estimate_mi(
     """
     if n_rollouts < 100:
         raise ValueError("mutual information needs at least 100 rollouts")
-    kde_cfg = kde_cfg if kde_cfg is not None else KdeConfig()
-    decode_cfg = decode_cfg if decode_cfg is not None else DecodeConfig()
+    cfg = PcdRunConfig(
+        kde=kde_cfg if kde_cfg is not None else KdeConfig(),
+        decode=decode_cfg if decode_cfg is not None else DecodeConfig(),
+    )
     grids = getattr(policy, "grids", None)
     if grids is None:
         grids = default_grids(SpuriousMixtureParams(lam=0.0))
@@ -636,35 +638,17 @@ def estimate_mi(
     actions: list[tuple[int, ...]] = []
     spurious: list[int] = []
     task_factor: list[int] = []
+
+    def observe(step, scene, obs, obs_masked, action, result) -> None:
+        target = next(o for o in scene.objects if o.label == target_label)
+        actions.append(tuple(g.index_of(float(a)) for g, a in zip(grids, action)))
+        spurious.append(_quadrant(scene.spurious.light_x, scene.spurious.light_y))
+        task_factor.append(
+            int(target.x >= scene.gripper_x) + 2 * int(target.y >= scene.gripper_y)
+        )
+
     for i in range(n_rollouts):
-        seed = base_seed + i
-        scene, obs = world.reset(seed)
-        instruction = world.task.instruction
-        step_index = 0
-        while True:
-            if isinstance(policy, ScriptedExpert):
-                action = policy.act(scene)
-            elif isinstance(policy, SpuriousMixturePolicy):
-                action = _decode_autoregressive(
-                    policy, obs, None, instruction, decode_cfg,
-                    substream(seed, "select", step_index),
-                )
-            else:
-                action = _decode_from_samples(
-                    policy, obs, None, instruction, kde_cfg, decode_cfg,
-                    seed, step_index, substream(seed, "select", step_index),
-                )
-            target = next(o for o in scene.objects if o.label == target_label)
-            actions.append(tuple(g.index_of(float(a)) for g, a in zip(grids, action)))
-            spurious.append(_quadrant(scene.spurious.light_x, scene.spurious.light_y))
-            task_factor.append(
-                int(target.x >= scene.gripper_x) + 2 * int(target.y >= scene.gripper_y)
-            )
-            scene, result = world.step(scene, action)
-            obs = result.observation
-            step_index += 1
-            if result.terminated:
-                break
+        _play(policy, world, cfg, base_seed + i, False, [], observe)
     return MIReport(
         mi_action_spurious=discrete_mi(actions, spurious),
         mi_action_task=discrete_mi(actions, task_factor),

@@ -201,6 +201,19 @@ def test_bad_inputs_exit_with_error(capsys, tmp_path) -> None:
     code = main(["run", "--config", str(missing)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    bad_sections = [
+        ({"decode": 5}, "decode"),
+        ({"decode": "ab"}, "decode"),
+        ({"policy": {"diffusion": 3}}, "policy.diffusion"),
+        ({"policy": {"diffusion": {"eta": 1}}}, "policy.diffusion"),
+    ]
+    for raw, section in bad_sections:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        code = main(["run", "--config", str(path), "--trials", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and section in err
 
 
 def test_unknown_flag_value_rejected_by_argparse() -> None:

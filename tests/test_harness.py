@@ -5,12 +5,20 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from pcd.config import (
+    INPAINT_KINDS,
+    METHODS,
+    POLICY_KINDS,
+    PROMPT_KINDS,
+    TRACKER_KINDS,
     MaskConfig,
     PcdRunConfig,
     PolicyConfig,
@@ -40,8 +48,11 @@ from pcd.harness import (
     sweep_alpha,
     sweep_to_csv,
 )
-from pcd.policies import SpuriousMixtureParams, SpuriousMixturePolicy
-from pcd.world import ShiftSpec, World, make_task
+from pcd.policies import ScriptedExpert, SpuriousMixtureParams, SpuriousMixturePolicy
+from pcd.world import TASK_KINDS, ShiftSpec, World, make_task
+
+CALIBRATED = Path(__file__).resolve().parent.parent / "configs" / "calibrated.json"
+CALIBRATED_HASHES = {"baseline_config": "eaccef28d0d1afd8", "pcd_config": "f3562d9a59bd18a8"}
 
 ALPHA_ZERO_SEEDS = 20
 PURE_SPURIOUS_TRIALS = 200
@@ -196,6 +207,26 @@ def test_component_errors_become_failed_trials() -> None:
     assert rec.error == "RuntimeError: boom"
     assert not rec.success_completion and not rec.success_maxstep
     assert rec.total_steps == 0
+
+
+def test_observer_receives_the_pre_step_scene() -> None:
+    cfg = mixture_cfg()
+    world = World(make_task("reach"), cfg.shift)
+    policy = build_policy(cfg)
+    pcd = replace(cfg, method="pcd")
+    for runner, run_cfg in ((run_baseline_episode, cfg), (run_pcd_episode, pcd)):
+        seen = []
+
+        def observer(step, scene, obs, obs_masked, action, result) -> None:
+            seen.append((step, scene.step, result.step, obs_masked is not None))
+
+        rec = runner(policy, world, run_cfg, seed=3, observer=observer)
+        assert rec.error is None
+        assert [s[0] for s in seen] == list(range(rec.total_steps))
+        for step, scene_step, result_step, masked in seen:
+            assert scene_step == step
+            assert result_step == step + 1
+            assert masked == (run_cfg.method == "pcd")
 
 
 def test_pure_spurious_policy_fails_under_spatial_shift() -> None:
@@ -396,6 +427,94 @@ def test_config_rejects_unknown_keys() -> None:
         from_dict(raw)
     with pytest.raises(ValueError, match="warp"):
         from_dict({"warp": 9})
+    with pytest.raises(ValueError, match=r"unknown policy\.diffusion keys: \['eta'\]"):
+        from_dict({"policy": {"diffusion": {"steps": 4, "eta": 1}}})
+    non_objects = [
+        ({"decode": 5}, "decode"),
+        ({"decode": "ab"}, "decode"),
+        ({"decode": []}, "decode"),
+        ({"policy": {"diffusion": 3}}, r"policy\.diffusion"),
+    ]
+    for bad, section in non_objects:
+        with pytest.raises(ValueError, match=rf"^{section} must be a JSON object"):
+            from_dict(bad)
+    # null is not rejected: it stands for the section's defaults
+    assert from_dict({"decode": None, "policy": {"diffusion": None}}) == PcdRunConfig()
+
+
+def test_calibrated_configs_hash_and_round_trip() -> None:
+    report = json.loads(CALIBRATED.read_text())
+    for name, expected in CALIBRATED_HASHES.items():
+        cfg = from_dict(report[name])
+        assert config_hash(cfg) == expected
+        assert to_dict(cfg) == report[name]
+
+
+def every_field(cls, **strategies) -> st.SearchStrategy:
+    """st.builds that must draw each field of cls, so a new field fails here."""
+    assert set(strategies) == {f.name for f in fields(cls)}
+    return st.builds(cls, **strategies)
+
+
+UNIT = st.floats(min_value=0.0, max_value=1.0)
+RUN_CONFIGS = every_field(
+    PcdRunConfig,
+    method=st.sampled_from(METHODS),
+    task_kind=st.sampled_from(TASK_KINDS),
+    max_steps=st.none() | st.integers(min_value=1, max_value=500),
+    shift=every_field(
+        ShiftSpec,
+        kind=st.sampled_from(("none", "spatial", "brightness", "distractors", "texture")),
+        brightness_offset=st.floats(min_value=-0.5, max_value=0.5),
+        distractor_count=st.integers(min_value=0, max_value=10),
+        distractor_label=st.text(min_size=1, max_size=8),
+        texture_id=st.integers(min_value=0, max_value=3),
+    ),
+    decode=every_field(
+        DecodeConfig,
+        alpha=st.floats(min_value=0.0, max_value=4.0),
+        prob_floor=st.floats(min_value=1e-12, max_value=1e-3),
+        selection=st.sampled_from(("greedy", "sample")),
+    ),
+    kde=every_field(
+        KdeConfig,
+        n_samples=st.integers(min_value=1, max_value=256),
+        bandwidth=st.just("scott") | st.floats(min_value=1e-4, max_value=1.0),
+        grid_count=st.integers(min_value=16, max_value=1024),
+        support_pad=st.floats(min_value=0.0, max_value=10.0),
+    ),
+    mask=every_field(
+        MaskConfig,
+        prompt=st.sampled_from(PROMPT_KINDS),
+        tracker=st.sampled_from(TRACKER_KINDS),
+        inpaint=st.sampled_from(INPAINT_KINDS),
+        miss_prob=UNIT,
+        jitter=st.integers(min_value=0, max_value=5),
+        constant_value=UNIT,
+        diffusion_iterations=st.integers(min_value=1, max_value=100),
+    ),
+    policy=every_field(
+        PolicyConfig,
+        kind=st.sampled_from(POLICY_KINDS),
+        lam=UNIT,
+        sharpness=st.floats(min_value=0.1, max_value=20.0),
+        bins=st.integers(min_value=2, max_value=64),
+        diffusion_steps=st.integers(min_value=1, max_value=500),
+    ),
+    trials=st.integers(min_value=1, max_value=1000),
+    base_seed=st.integers(min_value=0, max_value=2**31),
+    both_metrics=st.booleans(),
+)
+
+
+@seed(4)
+@settings(max_examples=200, deadline=None)
+@given(cfg=RUN_CONFIGS)
+def test_config_round_trips_every_field(cfg: PcdRunConfig) -> None:
+    assert from_dict(to_dict(cfg)) == cfg
+    again = from_dict(json.loads(json.dumps(to_dict(cfg))))
+    assert again == cfg
+    assert config_hash(again) == config_hash(cfg)
 
 
 def test_config_merge_is_deep() -> None:
@@ -464,3 +583,34 @@ def test_estimate_mi_contract() -> None:
     assert report.mi_action_task >= 0.0
     again = estimate_mi(policy, world, n_rollouts=100)
     assert again == report
+
+
+@pytest.mark.parametrize(
+    "policy, shift, expected",
+    [
+        (
+            SpuriousMixturePolicy(SpuriousMixtureParams(lam=0.6)),
+            ShiftSpec(kind="brightness"),
+            (0.6919133451533432, 0.631772101027747, 100, 2566),
+        ),
+        (
+            ScriptedExpert(make_task("reach")),
+            ShiftSpec(),
+            (1.5492700941377242, 1.9084916152895621, 100, 395),
+        ),
+    ],
+    ids=["mixture", "expert"],
+)
+def test_estimate_mi_reports_are_pinned(policy, shift, expected) -> None:
+    report = estimate_mi(policy, World(make_task("reach"), shift), n_rollouts=100)
+    spurious, task, n_rollouts, n_samples = expected
+    assert report.n_rollouts == n_rollouts
+    assert report.n_samples == n_samples
+    assert report.mi_action_spurious == pytest.approx(spurious, abs=1e-12)
+    assert report.mi_action_task == pytest.approx(task, abs=1e-12)
+
+
+def test_estimate_mi_propagates_policy_errors() -> None:
+    world = World(make_task("reach"), ShiftSpec(kind="brightness"))
+    with pytest.raises(RuntimeError, match="^boom$"):
+        estimate_mi(BoomPolicy(), world, n_rollouts=100)
