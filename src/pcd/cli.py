@@ -18,7 +18,6 @@ from . import config as cfgmod
 from .harness import (
     SWEEP_AXES,
     append_results,
-    benchmark_config,
     build_policy,
     calibrate,
     estimate_mi,

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import reduce
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterator, get_args, get_type_hints
 
 from .dists import DecodeConfig, KdeConfig
 from .world import TASK_KINDS, ShiftSpec
@@ -111,24 +111,35 @@ _JSON_RENAMES = {
 }
 
 
-def _attr_paths(obj: Any, prefix: str = "") -> Iterator[str]:
+def _attr_paths(obj: Any, prefix: str = "") -> Iterator[tuple[str, tuple[type, ...]]]:
+    """(attribute path, the types its annotation names) for every field."""
+    hints = get_type_hints(type(obj))
     for f in fields(obj):
         value = getattr(obj, f.name)
         if is_dataclass(value):
             yield from _attr_paths(value, f"{prefix}{f.name}.")
         else:
-            yield prefix + f.name
+            yield prefix + f.name, get_args(hints[f.name]) or (hints[f.name],)
 
 
-# (JSON path, attribute path) for every field: the one map between the two forms.
-_FIELDS: tuple[tuple[str, str], ...] = tuple(
-    (_JSON_RENAMES.get(attr, attr), attr) for attr in _attr_paths(PcdRunConfig())
+# (JSON path, attribute path, leaf types) for every field: the one map
+# between the two forms.
+_FIELDS: tuple[tuple[str, str, tuple[type, ...]], ...] = tuple(
+    (_JSON_RENAMES.get(attr, attr), attr, kinds) for attr, kinds in _attr_paths(PcdRunConfig())
 )
+
+_JSON_NAMES = {
+    bool: "a boolean",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    type(None): "null",
+}
 
 
 def to_dict(cfg: PcdRunConfig) -> dict[str, Any]:
     out: dict[str, Any] = {}
-    for json_path, attr_path in _FIELDS:
+    for json_path, attr_path, _ in _FIELDS:
         *sections, key = json_path.split(".")
         node = out
         for section in sections:
@@ -170,11 +181,25 @@ def _build(cls: type, values: dict[str, Any]) -> Any:
     return cls(**kwargs)
 
 
+def _leaf(tree: dict[str, Any], path: str, kinds: tuple[type, ...]) -> Any:
+    """The value at path, which must have a JSON type its field admits.
+
+    JSON has one number type, so a float field takes an integer too; true
+    and false are not numbers, though Python's bool is an int. Nothing is
+    coerced.
+    """
+    value = reduce(dict.__getitem__, path.split("."), tree)
+    admitted = kinds + (int,) if float in kinds else kinds
+    if isinstance(value, bool) != (bool in kinds) or not isinstance(value, admitted):
+        expected = " or ".join(_JSON_NAMES[k] for k in kinds)
+        raise ValueError(f"{path} must be {expected}, got {value!r}")
+    return value
+
+
 def from_dict(raw: dict[str, Any]) -> PcdRunConfig:
     tree = _merged(raw, to_dict(PcdRunConfig()), "config")
     return _build(
-        PcdRunConfig,
-        {attr: reduce(dict.__getitem__, path.split("."), tree) for path, attr in _FIELDS},
+        PcdRunConfig, {attr: _leaf(tree, path, kinds) for path, attr, kinds in _FIELDS}
     )
 
 

@@ -10,7 +10,7 @@ masked-observation counterpart, raised to a strength exponent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,10 +166,50 @@ def scott_bandwidth(samples: np.ndarray) -> float:
     return max(b, BANDWIDTH_FLOOR)
 
 
-def _resolve_bandwidth(samples: np.ndarray, config: KdeConfig) -> float:
+def _resolve_bandwidths(rows: np.ndarray, config: KdeConfig) -> np.ndarray:
+    """Bandwidth of each row of a C-contiguous (M, N) sample matrix: the
+    row's scott_bandwidth, or the fixed bandwidth."""
     if isinstance(config.bandwidth, str):
-        return scott_bandwidth(samples)
-    return float(config.bandwidth)
+        b = np.std(rows, axis=1) * rows.shape[1] ** (-1.0 / 5.0)
+        return np.maximum(b, BANDWIDTH_FLOOR)
+    return np.full(rows.shape[0], float(config.bandwidth))
+
+
+def _kde_rows(
+    rows: np.ndarray, grids: list[BinGrid], bandwidths: np.ndarray
+) -> tuple[CategoricalDist, ...]:
+    """KDE of each row of a C-contiguous (M, N) sample matrix on its grid.
+
+    All rows are evaluated as one (M, G, N) array. Each sum runs along a
+    contiguous axis of the length one row alone would sum over, so a row
+    gets the same bits in any batch.
+    """
+    centers = np.stack([grid.centers() for grid in grids])  # (M, G)
+    z = (centers[:, :, None] - rows[:, None, :]) / bandwidths[:, None, None]
+    weights = gaussian_kernel(z).sum(axis=2)  # (M, G)
+    totals = weights.sum(axis=1)
+    return tuple(
+        # All kernel mass underflowed; every center is equally (un)likely.
+        CategoricalDist.uniform(grid) if total <= 0.0 else CategoricalDist(grid, w / total)
+        for grid, w, total in zip(grids, weights, totals)
+    )
+
+
+def _shared_grids(
+    rows_a: np.ndarray,
+    rows_b: np.ndarray,
+    bw_a: np.ndarray,
+    bw_b: np.ndarray,
+    config: KdeConfig,
+) -> list[BinGrid]:
+    """kde_grid of each pair of rows of two sample matrices with M rows each."""
+    pad = config.support_pad * np.maximum(bw_a, bw_b)
+    lo = np.minimum(rows_a.min(axis=1), rows_b.min(axis=1)) - pad
+    hi = np.maximum(rows_a.max(axis=1), rows_b.max(axis=1)) + pad
+    flat = hi <= lo  # all samples identical and pad 0
+    lo = np.where(flat, lo - BANDWIDTH_FLOOR, lo)
+    hi = np.where(flat, hi + BANDWIDTH_FLOOR, hi)
+    return [BinGrid(float(a), float(b), config.grid_count) for a, b in zip(lo, hi)]
 
 
 def kde_estimate(samples: np.ndarray, grid: BinGrid, bandwidth: float) -> CategoricalDist:
@@ -185,13 +225,7 @@ def kde_estimate(samples: np.ndarray, grid: BinGrid, bandwidth: float) -> Catego
         raise ValueError("samples must be finite")
     if not (bandwidth > 0.0):
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
-    z = (grid.centers()[:, None] - x[None, :]) / bandwidth
-    weights = gaussian_kernel(z).sum(axis=1)
-    total = float(weights.sum())
-    if total <= 0.0:
-        # All kernel mass underflowed; every center is equally (un)likely.
-        return CategoricalDist.uniform(grid)
-    return CategoricalDist(grid, weights / total)
+    return _kde_rows(x[None], [grid], np.array([bandwidth], dtype=np.float64))[0]
 
 
 def kde_grid(samples_a: np.ndarray, samples_b: np.ndarray, config: KdeConfig) -> BinGrid:
@@ -202,19 +236,14 @@ def kde_grid(samples_a: np.ndarray, samples_b: np.ndarray, config: KdeConfig) ->
     with the scott rule the larger of the two branch bandwidths pads, so
     the margin guarantee holds for either branch.
     """
-    a = np.asarray(samples_a, dtype=np.float64).ravel()
-    b = np.asarray(samples_b, dtype=np.float64).ravel()
+    a = np.asarray(samples_a, dtype=np.float64).ravel()[None]
+    b = np.asarray(samples_b, dtype=np.float64).ravel()[None]
     if a.size == 0 or b.size == 0:
         raise ValueError("no samples")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("samples must be finite")
-    bw = max(_resolve_bandwidth(a, config), _resolve_bandwidth(b, config))
-    lo = min(float(a.min()), float(b.min())) - config.support_pad * bw
-    hi = max(float(a.max()), float(b.max())) + config.support_pad * bw
-    if hi <= lo:  # all samples identical and pad 0
-        lo -= BANDWIDTH_FLOOR
-        hi += BANDWIDTH_FLOOR
-    return BinGrid(lo, hi, config.grid_count)
+    bw_a, bw_b = _resolve_bandwidths(a, config), _resolve_bandwidths(b, config)
+    return _shared_grids(a, b, bw_a, bw_b, config)[0]
 
 
 def kde_estimate_multi(
@@ -224,7 +253,9 @@ def kde_estimate_multi(
 
     samples and samples_masked are (N, M) matrices of action draws under
     the original and masked observation. Dimensions are treated as
-    independent; each gets one shared grid built from both columns.
+    independent; each gets one shared grid built from both columns, as
+    kde_grid would build it, and each branch gets kde_estimate's result,
+    all dimensions at once.
     """
     orig = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     masked = np.atleast_2d(np.asarray(samples_masked, dtype=np.float64))
@@ -234,17 +265,20 @@ def kde_estimate_multi(
         )
     if orig.shape[0] < 2 or masked.shape[0] < 2:
         raise ValueError("need at least 2 samples per branch")
-    dims_o = []
-    dims_m = []
-    for t in range(orig.shape[1]):
-        col_o = orig[:, t]
-        col_m = masked[:, t]
-        if not np.all(np.isfinite(col_o)) or not np.all(np.isfinite(col_m)):
-            raise ValueError(f"non-finite samples in action dimension {t}")
-        grid = kde_grid(col_o, col_m, config)
-        dims_o.append(kde_estimate(col_o, grid, _resolve_bandwidth(col_o, config)))
-        dims_m.append(kde_estimate(col_m, grid, _resolve_bandwidth(col_m, config)))
-    return ActionDistribution(tuple(dims_o)), ActionDistribution(tuple(dims_m))
+    finite = np.isfinite(orig).all(axis=0) & np.isfinite(masked).all(axis=0)
+    if not finite.all():
+        raise ValueError(f"non-finite samples in action dimension {int(np.argmin(finite))}")
+    # One row per dimension, contiguous: reductions along a strided axis
+    # may round differently from the same reduction over one column.
+    rows_o = np.ascontiguousarray(orig.T)
+    rows_m = np.ascontiguousarray(masked.T)
+    bw_o = _resolve_bandwidths(rows_o, config)
+    bw_m = _resolve_bandwidths(rows_m, config)
+    grids = _shared_grids(rows_o, rows_m, bw_o, bw_m, config)
+    return (
+        ActionDistribution(_kde_rows(rows_o, grids, bw_o)),
+        ActionDistribution(_kde_rows(rows_m, grids, bw_m)),
+    )
 
 
 def contrastive_combine(

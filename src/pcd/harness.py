@@ -24,7 +24,6 @@ import numpy as np
 
 from .config import MaskConfig, PcdRunConfig, PolicyConfig, config_hash, to_dict
 from .dists import (
-    CategoricalDist,
     DecodeConfig,
     KdeConfig,
     contrastive_combine,
@@ -262,7 +261,7 @@ def _decode_autoregressive(
 
 
 def _decode_from_samples(
-    policy: MixtureDiffusionPolicy,
+    sample_many: Callable[..., np.ndarray],
     obs: Observation,
     obs_masked: Observation | None,
     instruction,
@@ -272,16 +271,16 @@ def _decode_from_samples(
     step: int,
     rng_select: np.random.Generator,
 ) -> np.ndarray:
-    draws = policy.sample(
-        obs, instruction, kde_cfg.n_samples, substream(seed, "policy_orig", step)
-    )
+    views = [obs]
+    rngs = [substream(seed, "policy_orig", step)]
+    if obs_masked is not None:
+        views.append(obs_masked)
+        rngs.append(substream(seed, "policy_masked", step))
+    draws = sample_many(views, instruction, kde_cfg.n_samples, rngs)
     if obs_masked is None:
-        dist, _ = kde_estimate_multi(draws, kde_cfg, draws)
+        dist, _ = kde_estimate_multi(draws[0], kde_cfg, draws[0])
     else:
-        masked_draws = policy.sample(
-            obs_masked, instruction, kde_cfg.n_samples, substream(seed, "policy_masked", step)
-        )
-        orig, masked = kde_estimate_multi(draws, kde_cfg, masked_draws)
+        orig, masked = kde_estimate_multi(draws[0], kde_cfg, draws[1])
         dist = contrastive_combine_multi(orig, masked, decode_cfg)
     return select_action(dist, decode_cfg, rng_select)
 
@@ -301,8 +300,18 @@ def _decider(
         return lambda obs, obs_masked, scene, step: _decode_autoregressive(
             policy, obs, obs_masked, instruction, decode_cfg, substream(seed, "select", step)
         )
+    # A sampler needs only `sample`; `sample_many` is its optional batched
+    # form, which must equal stacking one `sample` per view.
+    sample_many = getattr(policy, "sample_many", None)
+    if sample_many is None:
+
+        def sample_many(views, instruction, n, rngs):
+            return np.stack(
+                [policy.sample(view, instruction, n, rng) for view, rng in zip(views, rngs)]
+            )
+
     return lambda obs, obs_masked, scene, step: _decode_from_samples(
-        policy, obs, obs_masked, instruction, kde_cfg, decode_cfg, seed, step,
+        sample_many, obs, obs_masked, instruction, kde_cfg, decode_cfg, seed, step,
         substream(seed, "select", step),
     )
 

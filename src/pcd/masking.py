@@ -8,7 +8,7 @@ an inpainting strategy fills the masked cells on every channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

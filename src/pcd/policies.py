@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -313,6 +314,39 @@ class GaussianMixture:
             object.__setattr__(self, name, arr)
 
 
+def _mixture_eps(
+    x: np.ndarray,
+    log_w: np.ndarray,
+    means: np.ndarray,
+    variances: np.ndarray,
+    log_norm: np.ndarray,
+    frac: float,
+) -> np.ndarray:
+    """Predicted noise for C batches of actions, one mixture each.
+
+    x is (C, n, M); log_w (C, B), the diffused means and variances
+    (C, B, M) and log_norm, the sum over M of log(2*pi*variance), (C, B),
+    all at signal fraction frac. Each chain's arithmetic, and its order,
+    is the same as with C = 1, so batching chains changes no bit.
+    """
+    diff = x[:, None, :, :] - means[:, :, None, :]  # (C, B, n, M)
+    var = variances[:, :, None, :]
+    log_resp = (
+        log_w[:, :, None]
+        - 0.5 * (diff**2 / var).sum(axis=3)
+        - 0.5 * log_norm[:, :, None]
+    )
+    log_resp -= log_resp.max(axis=1, keepdims=True)
+    resp = np.exp(log_resp)
+    resp /= resp.sum(axis=1, keepdims=True)
+    score = (resp[:, :, :, None] * (-diff) / var).sum(axis=1)
+    return -math.sqrt(1.0 - frac) * score if frac < 1.0 else np.zeros_like(x)
+
+
+def _log_weights(weights: np.ndarray) -> np.ndarray:
+    return np.where(weights > 0.0, np.log(np.maximum(weights, 1e-300)), -np.inf)
+
+
 def mixture_noise_prediction(mix: GaussianMixture, schedule: DiffusionSchedule):
     """Exact noise prediction for actions drawn from `mix`.
 
@@ -321,25 +355,18 @@ def mixture_noise_prediction(mix: GaussianMixture, schedule: DiffusionSchedule):
     (1 - signal_frac); the predicted noise follows from its score.
     """
 
-    log_w = np.where(mix.weights > 0.0, np.log(np.maximum(mix.weights, 1e-300)), -np.inf)
+    log_w = _log_weights(mix.weights)
 
     def predict(x: np.ndarray, k: int) -> np.ndarray:
         frac = schedule.signal_frac[k - 1]
         means = np.sqrt(frac) * mix.means  # (B, M)
         variances = frac * mix.sigmas**2 + (1.0 - frac)
+        log_norm = np.log(2.0 * math.pi * variances).sum(axis=1)
         batch = np.atleast_2d(x)  # (n, M)
-        diff = batch[None, :, :] - means[:, None, :]  # (B, n, M)
-        log_resp = (
-            log_w[:, None]
-            - 0.5 * (diff**2 / variances[:, None, :]).sum(axis=2)
-            - 0.5 * np.log(2.0 * math.pi * variances).sum(axis=1)[:, None]
+        eps = _mixture_eps(
+            batch[None], log_w[None], means[None], variances[None], log_norm[None], frac
         )
-        log_resp -= log_resp.max(axis=0, keepdims=True)
-        resp = np.exp(log_resp)
-        resp /= resp.sum(axis=0, keepdims=True)
-        score = (resp[:, :, None] * (-diff) / variances[:, None, :]).sum(axis=0)
-        eps = -math.sqrt(1.0 - frac) * score if frac < 1.0 else np.zeros_like(batch)
-        return eps.reshape(np.shape(x))
+        return eps[0].reshape(np.shape(x))
 
     return predict
 
@@ -406,13 +433,48 @@ class MixtureDiffusionPolicy:
         n: int,
         rng: np.random.Generator,
     ) -> np.ndarray:
+        return self.sample_many([obs], instruction, n, [rng])[0]
+
+    def sample_many(
+        self,
+        views: Sequence[Observation],
+        instruction: Instruction,
+        n: int,
+        rngs: Sequence[np.random.Generator],
+    ) -> np.ndarray:
+        """n actions from the chain of each view, as one (C, n, 3) array.
+
+        Row c is bit for bit sample(views[c], instruction, n, rngs[c]):
+        the C chains step together through one batched noise prediction,
+        and each draws its noise from its own generator in one call, in
+        the order a step-by-step chain would (x0, then one (n, 3) block
+        per step with sigma > 0, from step `steps` down to 1).
+        """
         if n < 1:
             raise ValueError("need at least one sample")
-        mix = self.target_mixture(obs, instruction)
-        predict = mixture_noise_prediction(mix, self.schedule)
-        x = rng.standard_normal((n, 3))
-        for k in range(self.schedule.steps, 0, -1):
-            x = denoise_step(x, k, self.schedule, predict, rng)
+        if not views or len(views) != len(rngs):
+            raise ValueError("need at least one view and one generator per view")
+        sched = self.schedule
+        mixes = [self.target_mixture(obs, instruction) for obs in views]
+        log_w = _log_weights(np.stack([mix.weights for mix in mixes]))  # (C, B)
+        # per-step tables, (S, C, B, M) and (S, C, B), indexed by k - 1
+        frac = sched.signal_frac[:, None, None, None]
+        means = np.sqrt(frac) * np.stack([mix.means for mix in mixes])
+        variances = frac * np.stack([mix.sigmas for mix in mixes]) ** 2 + (1.0 - frac)
+        log_norm = np.log(2.0 * math.pi * variances).sum(axis=3)
+        noisy = sched.sigma > 0.0
+        draws = (1 + int(noisy.sum()), n, 3)
+        noise = np.stack([rng.standard_normal(draws) for rng in rngs])  # (C, 1 + K, n, 3)
+        x = noise[:, 0]
+        drawn = 1
+        for i in range(sched.steps - 1, -1, -1):
+            eps = _mixture_eps(
+                x, log_w, means[i], variances[i], log_norm[i], sched.signal_frac[i]
+            )
+            x = sched.scale[i] * (x - sched.noise_coef[i] * eps)
+            if noisy[i]:
+                x = x + sched.sigma[i] * noise[:, drawn]
+                drawn += 1
         return x
 
 

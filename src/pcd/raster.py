@@ -9,6 +9,7 @@ texture.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,11 +54,18 @@ class Observation:
         )
 
 
+@functools.lru_cache(maxsize=16)
 def cell_centers(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
-    """World coordinates (X, Y) of every cell center, each (H, W)."""
+    """World coordinates (X, Y) of every cell center, each (H, W).
+
+    Cached per size, so the arrays are shared and read-only.
+    """
     xs = (np.arange(width) + 0.5) / width
     ys = (np.arange(height) + 0.5) / height
-    return np.meshgrid(xs, ys)
+    grids = tuple(np.meshgrid(xs, ys))
+    for grid in grids:
+        grid.setflags(write=False)
+    return grids
 
 
 def disk_mask(width: int, height: int, cx: float, cy: float, radius: float) -> np.ndarray:

@@ -206,6 +206,9 @@ def test_bad_inputs_exit_with_error(capsys, tmp_path) -> None:
         ({"decode": "ab"}, "decode"),
         ({"policy": {"diffusion": 3}}, "policy.diffusion"),
         ({"policy": {"diffusion": {"eta": 1}}}, "policy.diffusion"),
+        ({"kde": {"n_samples": "24"}}, "kde.n_samples"),
+        ({"task": {"max_steps": "9"}}, "task.max_steps"),
+        ({"policy": {"lambda": None}}, "policy.lambda"),
     ]
     for raw, section in bad_sections:
         path = tmp_path / "bad.json"
@@ -214,6 +217,14 @@ def test_bad_inputs_exit_with_error(capsys, tmp_path) -> None:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and section in err
+    # a wrong-typed leaf that no flag overrides
+    for raw in ({"trials": "5"}, {"trials": None}):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        code = main(["run", "--config", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trials must be an integer")
 
 
 def test_unknown_flag_value_rejected_by_argparse() -> None:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from pcd.dists import (
+    BANDWIDTH_FLOOR,
     ActionDistribution,
     BinGrid,
     CategoricalDist,
@@ -31,6 +32,8 @@ from pcd.dists import (
     select_action,
     select_index,
 )
+
+import reference_impl as frozen
 
 EXACT_TOL = 1e-12
 SUM_TOL = 1e-9
@@ -349,6 +352,76 @@ def test_kde_multi_validation() -> None:
     bad[2, 1] = math.inf
     with pytest.raises(ValueError, match="dimension 1"):
         kde_estimate_multi(bad, cfg, np.zeros((4, 2)))
+
+
+def assert_same_as_frozen(samples, cfg: KdeConfig, samples_masked) -> None:
+    """kde_estimate_multi, kde_grid and kde_estimate give the frozen
+    per-column copies' grids and bits."""
+    ours = kde_estimate_multi(samples, cfg, samples_masked)
+    want = frozen.kde_estimate_multi_columns(samples, cfg, samples_masked)
+    for got, expect in zip(ours, want):
+        assert got.m == expect.m
+        for g, w in zip(got.dims, expect.dims):
+            assert g.grid == w.grid
+            assert np.array_equal(g.probs, w.probs)
+    for col, col_masked in zip(samples.T, samples_masked.T):
+        grid = kde_grid(col, col_masked, cfg)
+        assert grid == frozen.kde_grid(col, col_masked, cfg)
+        bw = frozen._resolve_bandwidth(col, cfg)
+        assert np.array_equal(
+            kde_estimate(col, grid, bw).probs, frozen.kde_estimate(col, grid, bw).probs
+        )
+
+
+@seed(21)
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=300),
+    n_masked=st.none() | st.integers(min_value=2, max_value=300),
+    dims=st.integers(min_value=1, max_value=4),
+    log_spread=st.floats(min_value=-8.0, max_value=1.0),
+    constant=st.lists(st.booleans(), min_size=4, max_size=4),
+    bandwidth=st.just("scott") | st.floats(min_value=1e-6, max_value=1.0),
+    support_pad=st.sampled_from((0.0, 4.0)) | st.floats(min_value=0.0, max_value=10.0),
+    grid_count=st.integers(min_value=16, max_value=300),
+    stream=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_kde_multi_equals_the_frozen_per_column_copy(
+    n, n_masked, dims, log_spread, constant, bandwidth, support_pad, grid_count, stream
+) -> None:
+    # n_masked None: both branches draw the same count, as the harness does
+    rng = np.random.default_rng(stream)
+    spread = 10.0**log_spread
+    orig = rng.normal(0.0, spread, size=(n, dims))
+    masked = rng.normal(rng.normal(), spread, size=(n if n_masked is None else n_masked, dims))
+    for t in range(dims):
+        if constant[t]:  # zero spread: the scott rule hits BANDWIDTH_FLOOR
+            orig[:, t] = 0.25
+    cfg = KdeConfig(bandwidth=bandwidth, grid_count=grid_count, support_pad=support_pad)
+    assert_same_as_frozen(orig, cfg, masked)
+
+
+def test_kde_multi_edge_cases_match_the_frozen_copy() -> None:
+    rng = np.random.default_rng(8)
+    # constant and near-constant columns in both branches: floor bandwidths
+    flat = np.full((24, 3), 0.1)
+    flat[:, 1] += rng.normal(0.0, 1e-12, size=24)
+    assert_same_as_frozen(flat, KdeConfig(), flat[::-1] + 0.0)
+    # identical samples, a fixed bandwidth and no pad: the hi <= lo widening
+    cfg = KdeConfig(bandwidth=0.1, support_pad=0.0)
+    same = np.full((5, 2), 0.3)
+    assert_same_as_frozen(same, cfg, same)
+    dist_o, _ = kde_estimate_multi(same, cfg, same)
+    assert dist_o.dims[0].grid.upper - dist_o.dims[0].grid.lower == pytest.approx(
+        2 * BANDWIDTH_FLOOR
+    )
+    # a bandwidth so small that every kernel underflows: the uniform fallback
+    cfg = KdeConfig(bandwidth=1e-6, support_pad=0.0)
+    spread = np.array([[0.0, 0.0], [1.0, 2.0]])
+    assert_same_as_frozen(spread, cfg, spread)
+    dist_o, dist_m = kde_estimate_multi(spread, cfg, spread)
+    for d in dist_o.dims + dist_m.dims:
+        assert np.array_equal(d.probs, CategoricalDist.uniform(d.grid).probs)
 
 
 @seed(7)

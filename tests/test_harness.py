@@ -112,6 +112,17 @@ class BoomPolicy:
         raise RuntimeError("boom")
 
 
+class SampleOnly:
+    """A sampler that exposes only `sample`, the plugin contract's minimum."""
+
+    def __init__(self, policy) -> None:
+        self.policy = policy
+        self.m = policy.m
+
+    def sample(self, obs, instruction, n, rng):
+        return self.policy.sample(obs, instruction, n, rng)
+
+
 # -------------------------------------------------------------- records
 
 
@@ -207,6 +218,22 @@ def test_component_errors_become_failed_trials() -> None:
     assert rec.error == "RuntimeError: boom"
     assert not rec.success_completion and not rec.success_maxstep
     assert rec.total_steps == 0
+
+
+def test_sample_only_policy_replays_the_batched_sampler() -> None:
+    # the sampler seam stacks one `sample` per view when a policy has no
+    # `sample_many`; the records must be the batched path's, bit for bit
+    report = json.loads(CALIBRATED.read_text())
+    for name, runner in (("baseline_config", run_baseline_episode), ("pcd_config", run_pcd_episode)):
+        cfg = from_dict(report[name])
+        world = World(make_task(cfg.task_kind, cfg.max_steps), cfg.shift)
+        policy = build_policy(cfg)
+        assert hasattr(policy, "sample_many") and not hasattr(SampleOnly(policy), "sample_many")
+        for ep_seed in range(3):
+            rec = runner(policy, world, cfg, seed=ep_seed)
+            assert rec.error is None
+            plain = runner(SampleOnly(policy), world, cfg, seed=ep_seed)
+            assert plain.replay_key() == rec.replay_key()
 
 
 def test_observer_receives_the_pre_step_scene() -> None:
@@ -440,6 +467,28 @@ def test_config_rejects_unknown_keys() -> None:
             from_dict(bad)
     # null is not rejected: it stands for the section's defaults
     assert from_dict({"decode": None, "policy": {"diffusion": None}}) == PcdRunConfig()
+    wrong_types = [
+        ({"trials": "5"}, "trials"),
+        ({"trials": None}, "trials"),
+        ({"trials": True}, "trials"),
+        ({"trials": 5.0}, "trials"),
+        ({"task": {"max_steps": "9"}}, r"task\.max_steps"),
+        ({"kde": {"bandwidth": None}}, r"kde\.bandwidth"),
+        ({"policy": {"lambda": "0.6"}}, r"policy\.lambda"),
+        ({"policy": {"diffusion": {"steps": 4.5}}}, r"policy\.diffusion\.steps"),
+        ({"decode": {"alpha": [1]}}, r"decode\.alpha"),
+        ({"both_metrics": 1}, "both_metrics"),
+    ]
+    for bad, path in wrong_types:
+        with pytest.raises(ValueError, match=rf"^{path} must be "):
+            from_dict(bad)
+    # what JSON allows for each field is still accepted, and never coerced
+    ok = from_dict(
+        {"task": {"max_steps": None}, "decode": {"alpha": 2}, "kde": {"bandwidth": 1}}
+    )
+    assert ok.max_steps is None and ok.decode.alpha == 2 and ok.kde.bandwidth == 1
+    assert type(ok.decode.alpha) is int and type(ok.kde.bandwidth) is int
+    assert from_dict({"kde": {"bandwidth": "scott"}}).kde.bandwidth == "scott"
 
 
 def test_calibrated_configs_hash_and_round_trip() -> None:

@@ -8,11 +8,14 @@ with the uniform object fallback.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from pcd.masking import ConstantFill, inpaint
 from pcd.policies import (
@@ -30,7 +33,11 @@ from pcd.policies import (
     find_light_peak,
     mixture_noise_prediction,
 )
+from pcd.raster import Observation
 from pcd.world import STEP_MAX, Scene, ShiftSpec, World, make_task
+
+from reference_impl import mixture_noise_prediction as frozen_noise_prediction
+from reference_impl import sample_scalar
 
 EXACT_TOL = 1e-12
 MEAN_SAMPLES = 10_000
@@ -340,6 +347,93 @@ def test_sampler_policy_reads_scene_and_masks() -> None:
     np.testing.assert_allclose(mix_plain.means[1], mix_masked.means[1], atol=1e-12)
     with pytest.raises(ValueError, match="at least one"):
         policy.sample(obs, instruction, 0, np.random.default_rng(0))
+
+
+@functools.cache
+def chain_views() -> tuple[tuple, tuple[Observation, ...]]:
+    """Original and target-masked views of a few scenes, plus a blank view
+    in which nothing is perceived (the wide prior on both components)."""
+    world = World(make_task("reach"), ShiftSpec(kind="brightness"))
+    views: list[Observation] = [Observation(np.zeros((3, world.size, world.size)))]
+    for scene_seed in range(3):
+        scene, obs = world.reset(scene_seed)
+        mask = world.ground_truth_mask(scene, "red_block")
+        views += [obs, inpaint(obs, mask, ConstantFill(0.0))]
+    return world.task.instruction, tuple(views)
+
+
+CHAINS = st.lists(
+    st.tuples(st.integers(0, 6), st.integers(0, 2**32 - 1)), min_size=1, max_size=4
+)
+LAMBDAS = st.sampled_from((0.0, 1.0)) | st.floats(min_value=0.0, max_value=1.0)
+
+
+@seed(19)
+@settings(max_examples=60, deadline=None)
+@given(
+    chains=CHAINS,
+    n=st.sampled_from((1, 2, 24)),
+    lam=LAMBDAS,
+    steps=st.sampled_from((1, 2, 20)),
+)
+def test_sample_many_equals_the_scalar_chain(chains, n, lam, steps) -> None:
+    # lambda 0 or 1 zeroes one weight (log weight -inf); cosine(1) draws no
+    # step noise at all, since its only step is the deterministic last one
+    instruction, views = chain_views()
+    policy = MixtureDiffusionPolicy(
+        SpuriousMixtureParams(lam=lam), DiffusionSchedule.cosine(steps)
+    )
+    picked = [views[v] for v, _ in chains]
+    out = policy.sample_many(
+        picked, instruction, n, [np.random.default_rng(s) for _, s in chains]
+    )
+    assert out.shape == (len(chains), n, 3)
+    for row, view, (_, s) in zip(out, picked, chains):
+        expect = sample_scalar(policy, view, instruction, n, np.random.default_rng(s))
+        assert np.array_equal(row, expect)
+    first, (_, s) = picked[0], chains[0]
+    assert np.array_equal(
+        policy.sample(first, instruction, n, np.random.default_rng(s)), out[0]
+    )
+
+
+def test_sample_many_validates_its_arguments() -> None:
+    instruction, views = chain_views()
+    policy = MixtureDiffusionPolicy(SpuriousMixtureParams(lam=0.6), DiffusionSchedule.cosine(4))
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="at least one sample"):
+        policy.sample_many(views[:1], instruction, 0, [rng])
+    with pytest.raises(ValueError, match="one generator per view"):
+        policy.sample_many(views[:2], instruction, 4, [rng])
+    with pytest.raises(ValueError, match="at least one view"):
+        policy.sample_many([], instruction, 4, [])
+
+
+@seed(20)
+@settings(max_examples=100, deadline=None)
+@given(
+    components=st.integers(1, 4),
+    dims=st.integers(1, 4),
+    n=st.integers(1, 30),
+    steps=st.integers(1, 30),
+    data=st.data(),
+)
+def test_noise_prediction_equals_the_frozen_scalar_one(components, dims, n, steps, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    weights = rng.random(components)
+    if components > 1 and data.draw(st.booleans()):
+        weights[0] = 0.0  # a zero weight: its log weight is -inf
+    mix = GaussianMixture(
+        weights / weights.sum(),
+        rng.normal(size=(components, dims)),
+        rng.random((components, dims)) + 0.01,
+    )
+    sched = DiffusionSchedule.cosine(steps)
+    k = data.draw(st.integers(1, steps))
+    x = rng.normal(size=(n, dims))
+    ours, frozen = mixture_noise_prediction(mix, sched), frozen_noise_prediction(mix, sched)
+    assert np.array_equal(ours(x, k), frozen(x, k))
+    assert np.array_equal(ours(x[0], k), frozen(x[0], k))  # one action vector
 
 
 # ----------------------------------------------------------------- expert

@@ -9,7 +9,7 @@ import pytest
 
 from pcd.masking import ConstantFill, inpaint
 from pcd.policies import ScriptedExpert
-from pcd.raster import LIGHT_PLANE, OBJECT_PLANE, TEXTURE_PLANE, disk_mask
+from pcd.raster import LIGHT_PLANE, OBJECT_PLANE, TEXTURE_PLANE, cell_centers, disk_mask
 from pcd.world import (
     COLOCATION_RADIUS,
     GRIPPER_RADIUS,
@@ -301,6 +301,20 @@ def test_render_inpaint_composition_removes_target() -> None:
 
 
 # ---------------------------------------------------------- ground truth
+
+
+def test_cell_centers_are_cached_and_read_only() -> None:
+    for w, h in ((32, 32), (5, 3)):
+        xs, ys = cell_centers(w, h)
+        ex, ey = np.meshgrid((np.arange(w) + 0.5) / w, (np.arange(h) + 0.5) / h)
+        assert np.array_equal(xs, ex) and np.array_equal(ys, ey)
+        again = cell_centers(w, h)
+        assert again[0] is xs and again[1] is ys
+        for grid in (xs, ys):
+            with pytest.raises(ValueError, match="read-only"):
+                grid[0, 0] = 9.0
+            with pytest.raises(ValueError, match="read-only"):
+                grid += 1.0
 
 
 def test_ground_truth_mask_is_exact_footprint() -> None:
