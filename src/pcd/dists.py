@@ -281,6 +281,20 @@ def kde_estimate_multi(
     )
 
 
+def kde_estimate_one(samples: np.ndarray, config: KdeConfig) -> ActionDistribution:
+    """One branch's per-dimension KDE: kde_estimate_multi(samples, config,
+    samples)[0], without evaluating the copy it would throw away."""
+    x = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+    if x.shape[0] < 2:
+        raise ValueError("need at least 2 samples per branch")
+    finite = np.isfinite(x).all(axis=0)
+    if not finite.all():
+        raise ValueError(f"non-finite samples in action dimension {int(np.argmin(finite))}")
+    rows = np.ascontiguousarray(x.T)
+    bw = _resolve_bandwidths(rows, config)
+    return ActionDistribution(_kde_rows(rows, _shared_grids(rows, rows, bw, bw, config), bw))
+
+
 def contrastive_combine(
     p: CategoricalDist, p_masked: CategoricalDist, cfg: DecodeConfig
 ) -> CategoricalDist:

@@ -29,6 +29,7 @@ from .dists import (
     contrastive_combine,
     contrastive_combine_multi,
     kde_estimate_multi,
+    kde_estimate_one,
     select_action,
     select_index,
 )
@@ -47,7 +48,6 @@ from .masking import (
 from .policies import (
     DiffusionSchedule,
     MixtureDiffusionPolicy,
-    PrefixContext,
     ScriptedExpert,
     SpuriousMixtureParams,
     SpuriousMixturePolicy,
@@ -246,17 +246,15 @@ def _decode_autoregressive(
     decode_cfg: DecodeConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    prefix = PrefixContext()
+    # Each view is perceived once; its dimensions are then read off in turn.
+    percept = policy.perceive(obs, instruction)
+    percept_masked = None if obs_masked is None else policy.perceive(obs_masked, instruction)
     action = np.empty(policy.m)
     for t in range(policy.m):
-        dist = policy.predict(obs, instruction, prefix)
-        if obs_masked is not None:
-            dist = contrastive_combine(
-                dist, policy.predict(obs_masked, instruction, prefix), decode_cfg
-            )
-        idx = select_index(dist, decode_cfg, rng)
-        action[t] = dist.grid.centers()[idx]
-        prefix = prefix.extended(idx)
+        dist = policy.predict_from(percept, t)
+        if percept_masked is not None:
+            dist = contrastive_combine(dist, policy.predict_from(percept_masked, t), decode_cfg)
+        action[t] = dist.grid.centers()[select_index(dist, decode_cfg, rng)]
     return action
 
 
@@ -278,7 +276,7 @@ def _decode_from_samples(
         rngs.append(substream(seed, "policy_masked", step))
     draws = sample_many(views, instruction, kde_cfg.n_samples, rngs)
     if obs_masked is None:
-        dist, _ = kde_estimate_multi(draws[0], kde_cfg, draws[0])
+        dist = kde_estimate_one(draws[0], kde_cfg)
     else:
         orig, masked = kde_estimate_multi(draws[0], kde_cfg, draws[1])
         dist = contrastive_combine_multi(orig, masked, decode_cfg)

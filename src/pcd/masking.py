@@ -226,20 +226,36 @@ def track(
     return mask
 
 
-def _neighbor_average_pass(plane: np.ndarray, masked: np.ndarray) -> np.ndarray:
-    """One simultaneous 4-neighborhood averaging step over masked cells."""
-    padded = np.pad(plane, 1, mode="constant")
-    total = (
-        padded[:-2, 1:-1] + padded[2:, 1:-1] + padded[1:-1, :-2] + padded[1:-1, 2:]
-    )
-    counts = np.full(plane.shape, 4.0)
+def _diffuse(planes: np.ndarray, masked: np.ndarray, iterations: int) -> None:
+    """Jacobi 4-neighborhood averaging of the masked cells of every plane, in place.
+
+    Only the masked cells change, and they read only themselves and their
+    neighbors, so the passes run on the mask's bounding box plus a
+    one-cell halo. The window's zero pad stands in for the raster's zero
+    pad where the window meets the image edge; elsewhere it is read only
+    by halo cells, whose averages are discarded. Each cell's sum and
+    division are the full-raster pass's, so the result is the same.
+    """
+    h, w = masked.shape
+    rows, cols = np.flatnonzero(masked.any(axis=1)), np.flatnonzero(masked.any(axis=0))
+    y0, y1 = max(rows[0] - 1, 0), min(rows[-1] + 2, h)
+    x0, x1 = max(cols[0] - 1, 0), min(cols[-1] + 2, w)
+    counts = np.full((h, w), 4.0)
     counts[0, :] -= 1.0
     counts[-1, :] -= 1.0
     counts[:, 0] -= 1.0
     counts[:, -1] -= 1.0
-    out = plane.copy()
-    out[masked] = total[masked] / counts[masked]
-    return out
+    counts = counts[y0:y1, x0:x1]
+    window = masked[y0:y1, x0:x1]
+    padded = np.zeros((planes.shape[0], y1 - y0 + 2, x1 - x0 + 2))
+    inner = padded[:, 1:-1, 1:-1]
+    inner[...] = planes[:, y0:y1, x0:x1]
+    for _ in range(iterations):
+        total = (
+            padded[:, :-2, 1:-1] + padded[:, 2:, 1:-1] + padded[:, 1:-1, :-2] + padded[:, 1:-1, 2:]
+        )
+        np.copyto(inner, total / counts, where=window)
+    planes[:, y0:y1, x0:x1] = inner
 
 
 def inpaint(obs: Observation, mask: ObjectMask, strategy: InpaintStrategy) -> Observation:
@@ -258,13 +274,9 @@ def inpaint(obs: Observation, mask: ObjectMask, strategy: InpaintStrategy) -> Ob
         for c in range(3):
             planes[c, masked] = planes[c, ~masked].mean()
     elif isinstance(strategy, NeighborDiffusionFill):
-        for c in range(3):
-            plane = planes[c]
-            seed = plane[~masked].mean() if not masked.all() else 0.0
-            plane[masked] = seed
-            for _ in range(strategy.iterations):
-                plane = _neighbor_average_pass(plane, masked)
-            planes[c] = plane
+        for plane in planes:
+            plane[masked] = plane[~masked].mean() if not masked.all() else 0.0
+        _diffuse(planes, masked, strategy.iterations)
     else:
         raise TypeError(f"unknown inpaint strategy {type(strategy).__name__}")
     return Observation(planes, obs.step_index)

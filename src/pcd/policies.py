@@ -33,6 +33,10 @@ from .world import (
 INTENSITY_TOL = 0.03
 LIGHT_PEAK_TOL = 0.02
 
+Point = tuple[float, float]
+# (gripper, target, light) as perceived in one view
+Percept = tuple[Point | None, Point | None, Point | None]
+
 
 @dataclass(frozen=True)
 class PrefixContext:
@@ -122,6 +126,16 @@ def find_light_peak(obs: Observation) -> tuple[float, float]:
     return float(xs[hits].mean()), float(ys[hits].mean())
 
 
+def perceive(obs: Observation, instruction: Instruction) -> Percept:
+    """What the policies read from one view: the gripper, the target blob
+    nearest to it and the light peak; all None when no gripper is seen."""
+    gripper = find_gripper(obs)
+    if gripper is None:
+        return None, None, None
+    target = find_class_blob(obs, instruction.target_labels[0], near=gripper)
+    return gripper, target, find_light_peak(obs)
+
+
 def _aim(
     origin: tuple[float, float], goal: tuple[float, float], step_max: float
 ) -> tuple[float, float]:
@@ -177,15 +191,16 @@ class SpuriousMixturePolicy:
         for dim, idx in enumerate(prefix.committed):
             if not (0 <= idx < self.grids[dim].count):
                 raise ValueError(f"prefix index {idx} invalid for dimension {dim}")
+        return self.predict_from(self.perceive(obs, instruction), t)
 
-        gripper = find_gripper(obs)
-        target = (
-            None
-            if gripper is None
-            else find_class_blob(obs, instruction.target_labels[0], near=gripper)
-        )
+    perceive = staticmethod(perceive)
+
+    def predict_from(self, percept: Percept, t: int) -> CategoricalDist:
+        """Dimension t's distribution for a perceived view. It does not
+        depend on the prefix, so one percept serves every dimension."""
+        gripper, target, light = percept
         obj_probs = self._branch(t, gripper, target)
-        spur_probs = self._branch(t, gripper, None if gripper is None else find_light_peak(obs))
+        spur_probs = self._branch(t, gripper, light)
         lam = self.params.lam
         return CategoricalDist(self.grids[t], (1.0 - lam) * obj_probs + lam * spur_probs)
 
@@ -392,13 +407,7 @@ class MixtureDiffusionPolicy:
         return 3
 
     def target_mixture(self, obs: Observation, instruction: Instruction) -> GaussianMixture:
-        gripper = find_gripper(obs)
-        target = (
-            None
-            if gripper is None
-            else find_class_blob(obs, instruction.target_labels[0], near=gripper)
-        )
-        light = None if gripper is None else find_light_peak(obs)
+        gripper, target, light = perceive(obs, instruction)
         lam = self.params.lam
         return GaussianMixture(
             weights=np.array([1.0 - lam, lam]),

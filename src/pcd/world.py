@@ -10,6 +10,7 @@ independently.
 
 from __future__ import annotations
 
+import functools
 import math
 import zlib
 from dataclasses import dataclass, replace
@@ -215,6 +216,27 @@ def texture_pattern(texture_id: int, width: int, height: int) -> np.ndarray:
     raise ValueError(f"unknown texture id {texture_id}")
 
 
+@functools.lru_cache(maxsize=8)
+def _factor_planes(spurious: SpuriousFactors, width: int, height: int) -> np.ndarray:
+    """The light and texture planes, clipped to [0, 1], as one (2, H, W) array.
+
+    They depend only on the spurious factors, which stay fixed for an
+    episode, so they are built once per factors and size. The cached array
+    is shared and read-only.
+    """
+    xg, yg = cell_centers(width, height)
+    sq_dist = (xg - spurious.light_x) ** 2 + (yg - spurious.light_y) ** 2
+    plane_light = (
+        BASE_BRIGHTNESS
+        + spurious.brightness_offset
+        + spurious.light_intensity * np.exp(-sq_dist / (2.0 * LIGHT_SIGMA**2))
+    )
+    plane_tex = texture_pattern(spurious.texture_id, width, height)
+    planes = np.stack([np.clip(plane_light, 0.0, 1.0), np.clip(plane_tex, 0.0, 1.0)])
+    planes.setflags(write=False)
+    return planes
+
+
 def _dist(ax: float, ay: float, bx: float, by: float) -> float:
     return math.hypot(ax - bx, ay - by)
 
@@ -418,18 +440,7 @@ class World:
         grip = disk_mask(w, h, scene.gripper_x, scene.gripper_y, GRIPPER_RADIUS)
         np.maximum(plane_obj, np.where(grip, GRIPPER_INTENSITY, 0.0), out=plane_obj)
 
-        xg, yg = cell_centers(w, h)
-        sq_dist = (xg - scene.spurious.light_x) ** 2 + (yg - scene.spurious.light_y) ** 2
-        plane_light = (
-            BASE_BRIGHTNESS
-            + scene.spurious.brightness_offset
-            + scene.spurious.light_intensity * np.exp(-sq_dist / (2.0 * LIGHT_SIGMA**2))
-        )
-        plane_tex = texture_pattern(scene.spurious.texture_id, w, h)
-
-        planes = np.stack(
-            [plane_obj, np.clip(plane_light, 0.0, 1.0), np.clip(plane_tex, 0.0, 1.0)]
-        )
+        planes = np.concatenate([plane_obj[None], _factor_planes(scene.spurious, w, h)])
         return Observation(planes, step_index=scene.step)
 
     def ground_truth_mask(self, scene: Scene, label: str) -> ObjectMask:

@@ -27,6 +27,7 @@ from pcd.dists import (
     gaussian_kernel,
     kde_estimate,
     kde_estimate_multi,
+    kde_estimate_one,
     kde_grid,
     scott_bandwidth,
     select_action,
@@ -422,6 +423,55 @@ def test_kde_multi_edge_cases_match_the_frozen_copy() -> None:
     dist_o, dist_m = kde_estimate_multi(spread, cfg, spread)
     for d in dist_o.dims + dist_m.dims:
         assert np.array_equal(d.probs, CategoricalDist.uniform(d.grid).probs)
+
+
+@seed(26)
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=300),
+    dims=st.integers(min_value=1, max_value=4),
+    log_spread=st.floats(min_value=-8.0, max_value=1.0),
+    constant=st.lists(st.booleans(), min_size=4, max_size=4),
+    bandwidth=st.just("scott") | st.floats(min_value=1e-6, max_value=1.0),
+    support_pad=st.sampled_from((0.0, 4.0)) | st.floats(min_value=0.0, max_value=10.0),
+    grid_count=st.integers(min_value=16, max_value=300),
+    stream=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_kde_one_equals_the_first_branch_of_the_frozen_copy(
+    n, dims, log_spread, constant, bandwidth, support_pad, grid_count, stream
+) -> None:
+    # the baseline arm's KDE: the one branch of kde_estimate_multi(x, cfg, x)
+    rng = np.random.default_rng(stream)
+    samples = rng.normal(rng.normal(), 10.0**log_spread, size=(n, dims))
+    for t in range(dims):
+        if constant[t]:  # zero spread: the scott rule hits BANDWIDTH_FLOOR
+            samples[:, t] = 0.25
+    cfg = KdeConfig(bandwidth=bandwidth, grid_count=grid_count, support_pad=support_pad)
+    got = kde_estimate_one(samples, cfg)
+    want, _ = frozen.kde_estimate_multi_columns(samples, cfg, samples)
+    both, _ = kde_estimate_multi(samples, cfg, samples)
+    assert got.m == want.m == both.m == dims
+    for g, w, b in zip(got.dims, want.dims, both.dims):
+        assert g.grid == w.grid == b.grid
+        assert np.array_equal(g.probs, w.probs) and np.array_equal(g.probs, b.probs)
+
+
+def test_kde_one_edge_cases_and_validation() -> None:
+    cases = [
+        (np.full((5, 2), 0.3), KdeConfig(bandwidth=0.1, support_pad=0.0)),  # hi <= lo
+        (np.array([[0.0, 0.0], [1.0, 2.0]]), KdeConfig(bandwidth=1e-6, support_pad=0.0)),
+        (np.random.default_rng(9).normal(size=(24, 3)), KdeConfig()),
+    ]
+    for samples, cfg in cases:
+        want, _ = frozen.kde_estimate_multi_columns(samples, cfg, samples)
+        for g, w in zip(kde_estimate_one(samples, cfg).dims, want.dims):
+            assert g.grid == w.grid and np.array_equal(g.probs, w.probs)
+    with pytest.raises(ValueError, match="at least 2"):
+        kde_estimate_one(np.zeros((1, 2)), KdeConfig())
+    bad = np.zeros((4, 3))
+    bad[2, 1] = math.nan
+    with pytest.raises(ValueError, match="dimension 1"):
+        kde_estimate_one(bad, KdeConfig())
 
 
 @seed(7)

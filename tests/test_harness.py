@@ -33,6 +33,7 @@ from pcd.harness import (
     BatchResult,
     EpisodeRecord,
     StepLog,
+    _decode_autoregressive,
     append_results,
     batch_from_row,
     build_policy,
@@ -48,8 +49,19 @@ from pcd.harness import (
     sweep_alpha,
     sweep_to_csv,
 )
-from pcd.policies import ScriptedExpert, SpuriousMixtureParams, SpuriousMixturePolicy
-from pcd.world import TASK_KINDS, ShiftSpec, World, make_task
+from pcd.masking import ConstantFill, NeighborDiffusionFill, inpaint
+from pcd.policies import (
+    PrefixContext,
+    ScriptedExpert,
+    SpuriousMixtureParams,
+    SpuriousMixturePolicy,
+    find_gripper,
+)
+from pcd.raster import Observation
+from pcd.seeding import substream
+from pcd.world import GRIPPER_INTENSITY, TASK_KINDS, ShiftSpec, World, make_task
+
+import reference_impl as frozen
 
 CALIBRATED = Path(__file__).resolve().parent.parent / "configs" / "calibrated.json"
 CALIBRATED_HASHES = {"baseline_config": "eaccef28d0d1afd8", "pcd_config": "f3562d9a59bd18a8"}
@@ -234,6 +246,70 @@ def test_sample_only_policy_replays_the_batched_sampler() -> None:
             assert rec.error is None
             plain = runner(SampleOnly(policy), world, cfg, seed=ep_seed)
             assert plain.replay_key() == rec.replay_key()
+
+
+def without_gripper(obs: Observation) -> Observation:
+    planes = obs.planes.copy()
+    planes[0][planes[0] == GRIPPER_INTENSITY] = 0.0
+    out = Observation(planes, obs.step_index)
+    assert find_gripper(out) is None
+    return out
+
+
+@seed(24)
+@settings(max_examples=120, deadline=None)
+@given(
+    task=st.sampled_from(("reach", "move_near")),
+    shift=st.sampled_from(("none", "spatial", "brightness", "distractors", "texture")),
+    scene_seed=st.integers(0, 10_000),
+    moves=st.integers(0, 4),
+    view=st.sampled_from(("plain", "no_gripper")),
+    masked=st.sampled_from((None, "constant", "diffusion", "no_gripper")),
+    alpha=st.sampled_from((0.5, 1.0, 2.0)),
+    lam=st.sampled_from((0.0, 1.0)) | st.floats(min_value=0.0, max_value=1.0),
+    selection=st.sampled_from(("greedy", "sample")),
+    step=st.integers(0, 79),
+)
+def test_decode_autoregressive_equals_the_frozen_prefix_loop(
+    task, shift, scene_seed, moves, view, masked, alpha, lam, selection, step
+) -> None:
+    # one perception pass per view must give the actions of predicting
+    # each dimension from scratch after the prefix, on the same select draws
+    world = World(make_task(task), ShiftSpec(kind=shift))
+    scene, obs = world.reset(scene_seed)
+    rng = np.random.default_rng(scene_seed)
+    for _ in range(moves):
+        scene, result = world.step(scene, rng.uniform(-0.1, 1.0, size=3))
+        obs = result.observation
+        if result.terminated:
+            break
+    labels = world.task.instruction.target_labels
+    union = world.ground_truth_mask(scene, labels[0])
+    for label in labels[1:]:
+        union = union.union(world.ground_truth_mask(scene, label))
+    obs_masked = {
+        None: None,
+        "constant": inpaint(obs, union, ConstantFill(0.0)),
+        "diffusion": inpaint(obs, union, NeighborDiffusionFill(25)),
+        "no_gripper": without_gripper(obs),
+    }[masked]
+    if view == "no_gripper":
+        obs = without_gripper(obs)
+    policy = SpuriousMixturePolicy(SpuriousMixtureParams(lam=lam))
+    decode_cfg = DecodeConfig(alpha=alpha, selection=selection)
+    instruction = world.task.instruction
+    got = _decode_autoregressive(
+        policy, obs, obs_masked, instruction, decode_cfg, substream(scene_seed, "select", step)
+    )
+    expect = frozen.decode_autoregressive(
+        policy, obs, obs_masked, instruction, decode_cfg, substream(scene_seed, "select", step)
+    )
+    assert np.array_equal(got, expect)
+    for t in range(policy.m):
+        prefix = PrefixContext(tuple(policy.grids[d].index_of(got[d]) for d in range(t)))
+        dist = policy.predict(obs, instruction, prefix)
+        assert dist.grid == policy.grids[t]
+        assert np.array_equal(dist.probs, frozen.predict(policy, obs, instruction, prefix).probs)
 
 
 def test_observer_receives_the_pre_step_scene() -> None:

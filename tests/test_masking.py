@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from pcd.masking import (
     BackgroundMeanFill,
@@ -25,6 +27,8 @@ from pcd.masking import (
 from pcd.policies import ScriptedExpert
 from pcd.raster import Observation
 from pcd.world import World, make_task
+
+import reference_impl as frozen
 
 EXACT_TOL = 1e-9
 TRACK_IOU_MIN = 0.9
@@ -335,3 +339,96 @@ def test_mask_union_and_validation() -> None:
         a.union(ObjectMask(np.zeros((4, 4), dtype=bool), "c"))
     with pytest.raises(ValueError, match="2-D"):
         ObjectMask(np.zeros((2, 2, 2), dtype=bool), "bad")
+
+
+# ------------------------------------------ inpainting against the frozen copy
+
+STRATEGIES = (
+    st.builds(ConstantFill, st.floats(min_value=0.0, max_value=1.0))
+    | st.just(BackgroundMeanFill())
+    | st.builds(NeighborDiffusionFill, st.sampled_from((1, 25)) | st.integers(1, 40))
+)
+MASK_KINDS = ("empty", "full", "cell", "edge", "corner", "scattered", "two_blobs")
+
+
+def random_box(rng: np.random.Generator, h: int, w: int) -> tuple[int, int, int, int]:
+    """Rows y0:y1 and columns x0:x1 of a non-empty box."""
+    y0, x0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+    return y0, int(rng.integers(y0 + 1, h + 1)), x0, int(rng.integers(x0 + 1, w + 1))
+
+
+def make_mask(kind: str, rng: np.random.Generator, h: int, w: int) -> np.ndarray:
+    bitmap = np.zeros((h, w), dtype=bool)
+    if kind == "full":
+        bitmap[:] = True
+    elif kind == "cell":
+        bitmap[rng.integers(0, h), rng.integers(0, w)] = True
+    elif kind == "edge":  # a box flush with one edge
+        y0, y1, x0, x1 = random_box(rng, h, w)
+        side = int(rng.integers(0, 4))
+        y0, y1 = (0, y1) if side == 0 else (y0, h) if side == 1 else (y0, y1)
+        x0, x1 = (0, x1) if side == 2 else (x0, w) if side == 3 else (x0, x1)
+        bitmap[y0:y1, x0:x1] = True
+    elif kind == "corner":  # a box in the top-left corner, flipped to any corner
+        bitmap[: rng.integers(1, h + 1), : rng.integers(1, w + 1)] = True
+        bitmap = bitmap[:: rng.choice((1, -1)), :: rng.choice((1, -1))]
+    elif kind == "scattered":
+        bitmap = rng.random((h, w)) < rng.uniform(0.05, 0.6)
+    elif kind == "two_blobs":
+        for _ in range(2):
+            y0, y1, x0, x1 = random_box(rng, h, w)
+            bitmap[y0 : min(y1, y0 + 3), x0 : min(x1, x0 + 3)] = True
+    return bitmap
+
+
+def assert_inpaint_matches_frozen(obs: Observation, bitmap: np.ndarray, strategy) -> None:
+    mask = ObjectMask(bitmap, "target")
+    if isinstance(strategy, BackgroundMeanFill) and bitmap.all():
+        for fill in (inpaint, frozen.inpaint):
+            with pytest.raises(ValueError, match="no background reference"):
+                fill(obs, mask, strategy)
+        return
+    out = inpaint(obs, mask, strategy)
+    expect = frozen.inpaint(obs, mask, strategy)
+    assert np.array_equal(out.planes, expect.planes)
+    assert out.step_index == expect.step_index
+    if not bitmap.any():
+        assert out is obs and expect is obs
+
+
+@seed(22)
+@settings(max_examples=300, deadline=None)
+@given(
+    h=st.integers(2, 14),
+    w=st.integers(2, 14),
+    kind=st.sampled_from(MASK_KINDS),
+    strategy=STRATEGIES,
+    stream=st.integers(0, 2**32 - 1),
+)
+def test_inpaint_equals_the_frozen_full_raster_copy(h, w, kind, strategy, stream) -> None:
+    rng = np.random.default_rng(stream)
+    obs = Observation(rng.random((3, h, w)), step_index=int(rng.integers(0, 50)))
+    assert_inpaint_matches_frozen(obs, make_mask(kind, rng, h, w), strategy)
+
+
+@pytest.mark.parametrize("iterations", [1, 25])
+def test_diffusion_fill_matches_the_frozen_copy_at_every_edge_and_corner(iterations) -> None:
+    rng = np.random.default_rng(23)
+    h, w = 7, 11
+    obs = Observation(rng.random((3, h, w)))
+    edges = [(slice(0, 2), slice(3, 6)), (slice(5, 7), slice(3, 6))]
+    edges += [(slice(2, 5), slice(0, 2)), (slice(2, 5), slice(9, 11))]
+    corners = [
+        (rows, cols) for rows in (slice(0, 2), slice(5, 7)) for cols in (slice(0, 3), slice(8, 11))
+    ]
+    for rows, cols in edges + corners:
+        bitmap = np.zeros((h, w), dtype=bool)
+        bitmap[rows, cols] = True
+        assert_inpaint_matches_frozen(obs, bitmap, NeighborDiffusionFill(iterations))
+    # a world scene with both task objects masked: two disjoint blobs
+    world = World(make_task("move_near"))
+    scene, obs = world.reset(4)
+    union = world.ground_truth_mask(scene, "red_block").union(
+        world.ground_truth_mask(scene, "blue_block")
+    )
+    assert_inpaint_matches_frozen(obs, union.bitmap, NeighborDiffusionFill(iterations))

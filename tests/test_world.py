@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from pcd.masking import ConstantFill, inpaint
 from pcd.policies import ScriptedExpert
@@ -22,9 +25,12 @@ from pcd.world import (
     SpuriousFactors,
     TaskSpec,
     World,
+    _factor_planes,
     make_task,
     texture_pattern,
 )
+
+import reference_impl as frozen
 
 COLOCATION_SEEDS = 300
 INDEPENDENCE_SEEDS = 1000
@@ -298,6 +304,67 @@ def test_render_inpaint_composition_removes_target() -> None:
     mask = world.ground_truth_mask(scene, "red_block")
     cleaned = inpaint(obs, mask, ConstantFill(0.0))
     assert np.all(cleaned.planes[OBJECT_PLANE][mask.bitmap] == 0.0)
+
+
+@seed(25)
+@settings(max_examples=80, deadline=None)
+@given(
+    task=st.sampled_from(TASK_KINDS),
+    shift=st.sampled_from(("none", "spatial", "brightness", "distractors", "texture")),
+    texture_id=st.integers(0, 3),
+    brightness=st.floats(min_value=-0.5, max_value=0.5),
+    size=st.sampled_from((32, 17)),
+    scene_seed=st.integers(0, 10_000),
+    moves=st.integers(0, 4),
+)
+def test_render_equals_the_frozen_per_call_copy(
+    task, shift, texture_id, brightness, size, scene_seed, moves
+) -> None:
+    # the cached light and texture planes give every plane of a fresh build
+    spec = ShiftSpec(kind=shift, texture_id=texture_id, brightness_offset=brightness)
+    world = World(make_task(task), spec, size=size)
+    scene, obs = world.reset(scene_seed)
+    rng = np.random.default_rng(scene_seed)
+    for step in range(moves + 1):
+        expect = frozen.render(world, scene)
+        assert obs.step_index == expect.step_index
+        for got_plane, expect_plane in zip(obs.planes, expect.planes):
+            assert np.array_equal(got_plane, expect_plane)
+        if step == moves:
+            break
+        scene, result = world.step(scene, rng.uniform(-0.1, 1.0, size=3))
+        obs = result.observation
+        if result.terminated:
+            break
+
+
+def test_factor_planes_are_cached_per_factors_and_read_only() -> None:
+    world = World(make_task("reach"), ShiftSpec(kind="texture", texture_id=3))
+    scene, _ = world.reset(2)
+    planes = _factor_planes(scene.spurious, world.size, world.size)
+    assert planes.shape == (2, world.size, world.size)
+    # the steps of one episode share the factors, and so the planes
+    later, _ = world.step(scene, np.array([0.05, 0.0, 0.0]))
+    assert _factor_planes(later.spurious, world.size, world.size) is planes
+    with pytest.raises(ValueError, match="read-only"):
+        planes[0, 0, 0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        planes += 0.0
+    # other factors, or another size, get planes of their own
+    variants = [
+        SpuriousFactors(light_x=0.3, light_y=0.7, texture_id=3),
+        SpuriousFactors(light_x=0.3, light_y=0.7, texture_id=1),
+        SpuriousFactors(light_x=0.3, light_y=0.7, texture_id=3, brightness_offset=0.1),
+        SpuriousFactors(light_x=0.6, light_y=0.7, texture_id=3),
+    ]
+    built = [_factor_planes(f, world.size, world.size) for f in variants]
+    for i in range(len(built)):
+        for j in range(i + 1, len(built)):
+            assert not np.array_equal(built[i], built[j])
+    assert _factor_planes(variants[0], 16, 16).shape == (2, 16, 16)
+    assert world.render(replace(scene, spurious=variants[0])).same_pixels(
+        frozen.render(world, replace(scene, spurious=variants[0]))
+    )
 
 
 # ---------------------------------------------------------- ground truth
