@@ -15,10 +15,9 @@ import json
 import math
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Generator, Sequence
 
 import numpy as np
 
@@ -129,12 +128,16 @@ class BatchResult:
     mean_ms: float
     config_hash: str
     records: tuple[EpisodeRecord, ...] | None = None
+    # Episodes that raised; they score as failures. Not part of replay_key.
+    n_errors: int = 0
 
     def __post_init__(self) -> None:
         if self.n_trials < 1:
             raise ValueError("a batch needs at least one trial")
         if self.rate_completion < self.rate_maxstep:
             raise ValueError("completion rate cannot be below the final-step rate")
+        if not 0 <= self.n_errors <= self.n_trials:
+            raise ValueError("n_errors must lie in 0..n_trials")
         if self.records is not None:
             object.__setattr__(self, "records", tuple(self.records))
 
@@ -259,23 +262,13 @@ def _decode_autoregressive(
 
 
 def _decode_from_samples(
-    sample_many: Callable[..., np.ndarray],
-    obs: Observation,
-    obs_masked: Observation | None,
-    instruction,
+    draws: np.ndarray,
     kde_cfg: KdeConfig,
     decode_cfg: DecodeConfig,
-    seed: int,
-    step: int,
     rng_select: np.random.Generator,
 ) -> np.ndarray:
-    views = [obs]
-    rngs = [substream(seed, "policy_orig", step)]
-    if obs_masked is not None:
-        views.append(obs_masked)
-        rngs.append(substream(seed, "policy_masked", step))
-    draws = sample_many(views, instruction, kde_cfg.n_samples, rngs)
-    if obs_masked is None:
+    """The action from one step's draws: one row per view, the original first."""
+    if len(draws) == 1:
         dist = kde_estimate_one(draws[0], kde_cfg)
     else:
         orig, masked = kde_estimate_multi(draws[0], kde_cfg, draws[1])
@@ -286,31 +279,35 @@ def _decode_from_samples(
 # -- episode runner ----------------------------------------------------------
 
 Decide = Callable[[Observation, Observation | None, Scene, int], np.ndarray]
+# A sampler request: the step's views, and the substream key of each view's
+# generator. Keys rather than generators, so a request can be drawn again.
+Request = tuple[list[Observation], list[tuple]]
+# Live episodes per lockstep call. Each chain draws its noise up front (69 KB
+# for a 120-step chain of 24 draws), and the cost per chain stops falling
+# beyond about 100 chains per call.
+_LIVE_CAP = 64
 
 
-def _decider(
-    policy, instruction, seed: int, kde_cfg: KdeConfig, decode_cfg: DecodeConfig
-) -> Decide:
-    """The per-step decision for the policy's kind, picked once per episode."""
+def _decider(policy, instruction, seed: int, decode_cfg: DecodeConfig) -> Decide | None:
+    """The inline per-step decision for the policy's kind, picked once per
+    episode, or None for a sampler, whose draws the loop requests instead."""
     if isinstance(policy, ScriptedExpert):
         return lambda obs, obs_masked, scene, step: policy.act(scene)
     if isinstance(policy, SpuriousMixturePolicy):
         return lambda obs, obs_masked, scene, step: _decode_autoregressive(
             policy, obs, obs_masked, instruction, decode_cfg, substream(seed, "select", step)
         )
-    # A sampler needs only `sample`; `sample_many` is its optional batched
-    # form, which must equal stacking one `sample` per view.
+    return None
+
+
+def _sampler(policy) -> Callable[..., np.ndarray]:
+    """A sampler needs only `sample`; `sample_many` is its optional batched
+    form, which must equal stacking one `sample` per view."""
     sample_many = getattr(policy, "sample_many", None)
-    if sample_many is None:
-
-        def sample_many(views, instruction, n, rngs):
-            return np.stack(
-                [policy.sample(view, instruction, n, rng) for view, rng in zip(views, rngs)]
-            )
-
-    return lambda obs, obs_masked, scene, step: _decode_from_samples(
-        sample_many, obs, obs_masked, instruction, kde_cfg, decode_cfg, seed, step,
-        substream(seed, "select", step),
+    if sample_many is not None:
+        return sample_many
+    return lambda views, instruction, n, rngs: np.stack(
+        [policy.sample(view, instruction, n, rng) for view, rng in zip(views, rngs)]
     )
 
 
@@ -322,19 +319,31 @@ def _play(
     contrast: bool,
     steps: list[StepLog],
     observer: Observer | None,
-) -> None:
+) -> Generator[Request, np.ndarray, None]:
     """The one step loop: decide and step until the world terminates.
 
-    Each step is appended to steps as it completes, so a caller that
-    catches an exception still holds the steps before it. The observer
-    sees the scene the action was decided on.
+    A sampler's step yields its Request and resumes with the draws for it,
+    one (n, m) block per view; the expert and the autoregressive policy
+    decide inline and never yield. Each step is appended to steps as it
+    completes, so a caller that catches an exception still holds the steps
+    before it. The observer sees the scene the action was decided on.
     """
     scene, obs = world.reset(seed)
-    decide = _decider(policy, world.task.instruction, seed, cfg.kde, cfg.decode)
+    decide = _decider(policy, world.task.instruction, seed, cfg.decode)
     pipeline = _MaskPipeline(cfg.mask, world, seed) if contrast else None
     for step in itertools.count():
         obs_masked, mask_cells = (None, 0) if pipeline is None else pipeline.masked(obs, scene)
-        action = decide(obs, obs_masked, scene, step)
+        if decide is None:
+            views, keys = [obs], [(seed, "policy_orig", step)]
+            if obs_masked is not None:
+                views.append(obs_masked)
+                keys.append((seed, "policy_masked", step))
+            draws = yield views, keys
+            action = _decode_from_samples(
+                draws, cfg.kde, cfg.decode, substream(seed, "select", step)
+            )
+        else:
+            action = decide(obs, obs_masked, scene, step)
         next_scene, result = world.step(scene, action)
         steps.append(StepLog(result.step, tuple(action), result.success_now, mask_cells))
         if observer is not None:
@@ -342,6 +351,113 @@ def _play(
         if result.terminated:
             return
         scene, obs = next_scene, result.observation
+
+
+class _Episode:
+    """One episode's step loop in flight: its steps so far, its pending
+    request, and its wall time, which includes its share of every sampler
+    call that served it."""
+
+    def __init__(
+        self,
+        policy,
+        world: World,
+        cfg: PcdRunConfig,
+        seed: int,
+        contrast: bool,
+        observer: Observer | None,
+    ) -> None:
+        self.seed = seed
+        self.steps: list[StepLog] = []
+        self.request: Request | None = None
+        self.error: Exception | None = None
+        self.seconds = 0.0
+        self._loop = _play(policy, world, cfg, seed, contrast, self.steps, observer)
+        self.advance(None)
+
+    def advance(self, reply: np.ndarray | Exception | None) -> None:
+        """Resume the loop with the draws for its request, or raise the
+        sampler's error inside it, and run it to its next request."""
+        start = time.perf_counter()
+        try:
+            if isinstance(reply, Exception):
+                self.request = self._loop.throw(reply)
+            else:
+                self.request = self._loop.send(reply)
+        except StopIteration:
+            self.request = None
+        except Exception as exc:  # failed episodes score as failures, never crash a batch
+            self.request, self.error = None, exc
+        self.seconds += time.perf_counter() - start
+
+    def record(self) -> EpisodeRecord:
+        steps = self.steps
+        error = None if self.error is None else f"{type(self.error).__name__}: {self.error}"
+        scored = error is None and bool(steps)
+        return EpisodeRecord(
+            seed=self.seed,
+            steps=tuple(steps),
+            success_completion=scored and any(s.success_now for s in steps),
+            success_maxstep=scored and steps[-1].success_now,
+            total_steps=len(steps),
+            duration_s=self.seconds,
+            error=error,
+        )
+
+
+def _draw(sample_many, instruction, n: int, requests: list[Request]) -> np.ndarray | Exception:
+    """One sampler call for every view of the requests, on fresh generators."""
+    views = [view for request_views, _ in requests for view in request_views]
+    rngs = [substream(*key) for _, keys in requests for key in keys]
+    try:
+        return sample_many(views, instruction, n, rngs)
+    except Exception as exc:
+        return exc
+
+
+def _lockstep(
+    policy,
+    world: World,
+    cfg: PcdRunConfig,
+    seeds: Sequence[int],
+    contrast: bool,
+    observer: Observer | None = None,
+) -> list[_Episode]:
+    """Run one episode per seed, in seed order, and return them ended.
+
+    Up to _LIVE_CAP episodes are live at once. Each round, one sampler call
+    serves the requests of every live episode, and each episode takes an
+    equal share of its time. If that call raises, each episode is served
+    alone, so the error lands on the episode whose view caused it and its
+    call-mates draw what they would have drawn alone. Every episode owns its
+    seed and its streams, so the records do not depend on who shared a call.
+    """
+    sample_many = _sampler(policy)
+    instruction, n = world.task.instruction, cfg.kde.n_samples
+    pending = iter(seeds)
+    episodes: list[_Episode] = []
+    live: list[_Episode] = []
+    while True:
+        while len(live) < _LIVE_CAP and (seed := next(pending, None)) is not None:
+            episodes.append(_Episode(policy, world, cfg, seed, contrast, observer))
+            if episodes[-1].request is not None:
+                live.append(episodes[-1])
+        if not live:
+            return episodes
+        start = time.perf_counter()
+        drawn = _draw(sample_many, instruction, n, [ep.request for ep in live])
+        if not isinstance(drawn, Exception):
+            ends = itertools.accumulate(len(ep.request[0]) for ep in live)
+            replies = [drawn[end - len(ep.request[0]) : end] for ep, end in zip(live, ends)]
+        elif len(live) == 1:
+            replies = [drawn]
+        else:
+            replies = [_draw(sample_many, instruction, n, [ep.request]) for ep in live]
+        share = (time.perf_counter() - start) / len(live)
+        for ep, reply in zip(live, replies):
+            ep.seconds += share
+            ep.advance(reply)
+        live = [ep for ep in live if ep.request is not None]
 
 
 def _run_episode(
@@ -352,23 +468,7 @@ def _run_episode(
     contrast: bool,
     observer: Observer | None = None,
 ) -> EpisodeRecord:
-    start = time.perf_counter()
-    steps: list[StepLog] = []
-    error: str | None = None
-    try:
-        _play(policy, world, cfg, seed, contrast, steps, observer)
-    except Exception as exc:  # failed episodes score as failures, never crash a batch
-        error = f"{type(exc).__name__}: {exc}"
-    scored = error is None and bool(steps)
-    return EpisodeRecord(
-        seed=seed,
-        steps=tuple(steps),
-        success_completion=scored and any(s.success_now for s in steps),
-        success_maxstep=scored and steps[-1].success_now,
-        total_steps=len(steps),
-        duration_s=time.perf_counter() - start,
-        error=error,
-    )
+    return _lockstep(policy, world, cfg, [seed], contrast, observer)[0].record()
 
 
 def run_baseline_episode(
@@ -394,9 +494,11 @@ def run_pcd_episode(
 def evaluate_batch(cfg: PcdRunConfig, workers: int = 1) -> BatchResult:
     """Run cfg.trials episodes with seeds base_seed .. base_seed+trials-1.
 
-    Results are independent of workers: each episode owns its seed and
-    all state, so the serial and threaded schedules produce the same
-    records in the same order.
+    The episodes run in lockstep: a sampler policy's chains for every live
+    episode go through one `sample_many` call per step. Each episode owns
+    its seed and all its state, so the records are those of running each
+    episode alone, in seed order. workers is accepted for compatibility
+    and changes nothing.
     """
     task = make_task(cfg.task_kind, cfg.max_steps)
     world = World(task, cfg.shift, stop_on_success=not cfg.both_metrics)
@@ -404,14 +506,10 @@ def evaluate_batch(cfg: PcdRunConfig, workers: int = 1) -> BatchResult:
     if cfg.method == "pcd" and isinstance(policy, ScriptedExpert):
         raise ValueError("contrastive decoding cannot run on the scripted expert")
 
-    runner = run_pcd_episode if cfg.method == "pcd" else run_baseline_episode
+    # With alpha = 0 the masked branch is skipped, as in run_pcd_episode.
+    contrast = cfg.method == "pcd" and cfg.decode.alpha > 0.0
     seeds = [cfg.base_seed + i for i in range(cfg.trials)]
-    if workers <= 1:
-        records = [runner(policy, world, cfg, s) for s in seeds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda s: runner(policy, world, cfg, s), seeds))
-
+    records = [ep.record() for ep in _lockstep(policy, world, cfg, seeds, contrast)]
     n = len(records)
     return BatchResult(
         n_trials=n,
@@ -420,6 +518,7 @@ def evaluate_batch(cfg: PcdRunConfig, workers: int = 1) -> BatchResult:
         mean_ms=float(np.mean([r.duration_s for r in records]) * 1e3),
         config_hash=config_hash(cfg),
         records=tuple(records),
+        n_errors=sum(r.error is not None for r in records),
     )
 
 
@@ -655,7 +754,9 @@ def estimate_mi(
         )
 
     for i in range(n_rollouts):
-        _play(policy, world, cfg, base_seed + i, False, [], observe)
+        [episode] = _lockstep(policy, world, cfg, [base_seed + i], False, observe)
+        if episode.error is not None:
+            raise episode.error
     return MIReport(
         mi_action_spurious=discrete_mi(actions, spurious),
         mi_action_task=discrete_mi(actions, task_factor),

@@ -93,10 +93,6 @@ class Scene:
     spurious: SpuriousFactors
     step: int = 0
 
-    @property
-    def held_label(self) -> str | None:
-        return None if self.held_index is None else self.objects[self.held_index].label
-
 
 @dataclass(frozen=True)
 class TaskSpec:

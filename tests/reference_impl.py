@@ -1,18 +1,22 @@
 """Frozen scalar references for the package's batched fast paths.
 
-Each function here is the plain, one-chain, one-column, full-raster or
-one-dimension-at-a-time version of a path that `pcd` now runs batched,
-windowed or once per view. They are kept unchanged so that the property
-tests can require the fast paths to give the very same bits, even after
-the plain versions leave `src/`.
+Each function here is the plain, one-chain, one-column, full-raster,
+one-dimension-at-a-time or one-episode-at-a-time version of a path that
+`pcd` now runs batched, windowed, once per view or in lockstep. They
+are kept unchanged so that the property tests can require the fast paths
+to give the very same bits, even after the plain versions leave `src/`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import time
+from typing import Callable
 
 import numpy as np
 
+from pcd.config import PcdRunConfig
 from pcd.dists import (
     BANDWIDTH_FLOOR,
     ActionDistribution,
@@ -21,9 +25,20 @@ from pcd.dists import (
     DecodeConfig,
     KdeConfig,
     contrastive_combine,
+    contrastive_combine_multi,
     gaussian_kernel,
+    kde_estimate_multi,
+    kde_estimate_one,
     scott_bandwidth,
+    select_action,
     select_index,
+)
+from pcd.harness import (
+    EpisodeRecord,
+    Observer,
+    StepLog,
+    _decode_autoregressive,
+    _MaskPipeline,
 )
 from pcd.masking import (
     BackgroundMeanFill,
@@ -37,6 +52,7 @@ from pcd.policies import (
     GaussianMixture,
     MixtureDiffusionPolicy,
     PrefixContext,
+    ScriptedExpert,
     SpuriousMixturePolicy,
     _aim,
     _gaussian_categorical,
@@ -46,6 +62,7 @@ from pcd.policies import (
     find_light_peak,
 )
 from pcd.raster import Observation, cell_centers, disk_mask
+from pcd.seeding import substream
 from pcd.world import (
     BASE_BRIGHTNESS,
     GRASP_RADIUS,
@@ -330,3 +347,121 @@ def render(world: World, scene: Scene) -> Observation:
         [plane_obj, np.clip(plane_light, 0.0, 1.0), np.clip(plane_tex, 0.0, 1.0)]
     )
     return Observation(planes, step_index=scene.step)
+
+
+# -- the serial episode loop: one episode, one sampler call per step --------
+#
+# Verbatim copies of the harness's serial runner, taken before the step loop
+# became a generator that lockstep evaluation drives. `_decode_autoregressive`
+# and `_MaskPipeline` are the package's own; their parts have frozen copies above.
+
+
+def _decode_from_samples(
+    sample_many: Callable[..., np.ndarray],
+    obs: Observation,
+    obs_masked: Observation | None,
+    instruction,
+    kde_cfg: KdeConfig,
+    decode_cfg: DecodeConfig,
+    seed: int,
+    step: int,
+    rng_select: np.random.Generator,
+) -> np.ndarray:
+    views = [obs]
+    rngs = [substream(seed, "policy_orig", step)]
+    if obs_masked is not None:
+        views.append(obs_masked)
+        rngs.append(substream(seed, "policy_masked", step))
+    draws = sample_many(views, instruction, kde_cfg.n_samples, rngs)
+    if obs_masked is None:
+        dist = kde_estimate_one(draws[0], kde_cfg)
+    else:
+        orig, masked = kde_estimate_multi(draws[0], kde_cfg, draws[1])
+        dist = contrastive_combine_multi(orig, masked, decode_cfg)
+    return select_action(dist, decode_cfg, rng_select)
+
+
+Decide = Callable[[Observation, Observation | None, Scene, int], np.ndarray]
+
+
+def _decider(
+    policy, instruction, seed: int, kde_cfg: KdeConfig, decode_cfg: DecodeConfig
+) -> Decide:
+    """The per-step decision for the policy's kind, picked once per episode."""
+    if isinstance(policy, ScriptedExpert):
+        return lambda obs, obs_masked, scene, step: policy.act(scene)
+    if isinstance(policy, SpuriousMixturePolicy):
+        return lambda obs, obs_masked, scene, step: _decode_autoregressive(
+            policy, obs, obs_masked, instruction, decode_cfg, substream(seed, "select", step)
+        )
+    # A sampler needs only `sample`; `sample_many` is its optional batched
+    # form, which must equal stacking one `sample` per view.
+    sample_many = getattr(policy, "sample_many", None)
+    if sample_many is None:
+
+        def sample_many(views, instruction, n, rngs):
+            return np.stack(
+                [policy.sample(view, instruction, n, rng) for view, rng in zip(views, rngs)]
+            )
+
+    return lambda obs, obs_masked, scene, step: _decode_from_samples(
+        sample_many, obs, obs_masked, instruction, kde_cfg, decode_cfg, seed, step,
+        substream(seed, "select", step),
+    )
+
+
+def _play(
+    policy,
+    world: World,
+    cfg: PcdRunConfig,
+    seed: int,
+    contrast: bool,
+    steps: list[StepLog],
+    observer: Observer | None,
+) -> None:
+    """The one step loop: decide and step until the world terminates.
+
+    Each step is appended to steps as it completes, so a caller that
+    catches an exception still holds the steps before it. The observer
+    sees the scene the action was decided on.
+    """
+    scene, obs = world.reset(seed)
+    decide = _decider(policy, world.task.instruction, seed, cfg.kde, cfg.decode)
+    pipeline = _MaskPipeline(cfg.mask, world, seed) if contrast else None
+    for step in itertools.count():
+        obs_masked, mask_cells = (None, 0) if pipeline is None else pipeline.masked(obs, scene)
+        action = decide(obs, obs_masked, scene, step)
+        next_scene, result = world.step(scene, action)
+        steps.append(StepLog(result.step, tuple(action), result.success_now, mask_cells))
+        if observer is not None:
+            observer(step, scene, obs, obs_masked, action, result)
+        if result.terminated:
+            return
+        scene, obs = next_scene, result.observation
+
+
+def _run_episode(
+    policy,
+    world: World,
+    cfg: PcdRunConfig,
+    seed: int,
+    contrast: bool,
+    observer: Observer | None = None,
+) -> EpisodeRecord:
+    start = time.perf_counter()
+    steps: list[StepLog] = []
+    error: str | None = None
+    try:
+        _play(policy, world, cfg, seed, contrast, steps, observer)
+    except Exception as exc:  # failed episodes score as failures, never crash a batch
+        error = f"{type(exc).__name__}: {exc}"
+    scored = error is None and bool(steps)
+    return EpisodeRecord(
+        seed=seed,
+        steps=tuple(steps),
+        success_completion=scored and any(s.success_now for s in steps),
+        success_maxstep=scored and steps[-1].success_now,
+        total_steps=len(steps),
+        duration_s=time.perf_counter() - start,
+        error=error,
+    )

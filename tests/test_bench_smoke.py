@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+pytestmark = pytest.mark.slow
+
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("calibrated", "single_episode", "mixture_masking")
 # numpy's SIMD dispatch list on the host that made bench/reference.json; the

@@ -362,14 +362,18 @@ def chain_views() -> tuple[tuple, tuple[Observation, ...]]:
     return world.task.instruction, tuple(views)
 
 
-CHAINS = st.lists(
-    st.tuples(st.integers(0, 6), st.integers(0, 2**32 - 1)), min_size=1, max_size=4
+CHAIN = st.tuples(st.integers(0, 6), st.integers(0, 2**32 - 1))
+# up to 4 chains, and the widths of a lockstep call over 4 and 32 pcd episodes
+CHAINS = (
+    st.lists(CHAIN, min_size=1, max_size=4)
+    | st.lists(CHAIN, min_size=8, max_size=8)
+    | st.lists(CHAIN, min_size=64, max_size=64)
 )
 LAMBDAS = st.sampled_from((0.0, 1.0)) | st.floats(min_value=0.0, max_value=1.0)
 
 
 @seed(19)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(
     chains=CHAINS,
     n=st.sampled_from((1, 2, 24)),
