@@ -70,7 +70,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--both-metrics", action="store_true", default=None,
                         help="run every episode to the step budget and report both rates")
-    parser.add_argument("--workers", type=int, default=1)
 
 
 def _overrides(args: argparse.Namespace) -> dict:
@@ -135,7 +134,7 @@ def _print_result(cfg: cfgmod.PcdRunConfig, result) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    result = evaluate_batch(cfg, workers=args.workers)
+    result = evaluate_batch(cfg)
     _print_result(cfg, result)
     if args.out:
         append_results(args.out, result_row(cfg, result))
@@ -147,7 +146,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     raw = args.values if args.values else DEFAULT_SWEEP_VALUES[args.axis]
     values = [v.strip() for v in raw.split(",") if v.strip()]
-    rows = sweep(cfg, args.axis, values, workers=args.workers)
+    rows = sweep(cfg, args.axis, values)
     header = f"{args.axis:>12}  trials  rate_completion  rate_maxstep  mean_ms"
     print(header)
     for value, result in rows:
@@ -244,7 +243,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         lambdas=lambdas,
         coarse_trials=args.coarse_trials,
         trials=args.trials,
-        workers=args.workers,
         out_path=out_path,
     )
     for row in report["coarse"]:
@@ -294,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--lambdas", type=str, default="0.5,0.55,0.6,0.65,0.7")
     p_cal.add_argument("--coarse-trials", type=int, default=150)
     p_cal.add_argument("--trials", type=int, default=500)
-    p_cal.add_argument("--workers", type=int, default=1)
     p_cal.add_argument("--out", type=str, default="configs/calibrated.json")
     p_cal.set_defaults(func=_cmd_calibrate)
 

@@ -593,6 +593,13 @@ def test_results_round_trip_exactly(tmp_path) -> None:
     assert rebuilt.mean_ms == result.mean_ms
     assert rebuilt.config_hash == result.config_hash
     assert rebuilt.records is None
+    failed = replace(result, n_errors=3)
+    append_results(path, result_row(cfg, failed, timestamp=1236.5))
+    row = load_results(path)[2]
+    assert batch_from_row(row).n_errors == 3
+    # Rows saved before the count was stored still load, with no errors.
+    del row["n_errors"]
+    assert batch_from_row(row).n_errors == 0
 
 
 def test_malformed_results_name_the_line(tmp_path) -> None:
