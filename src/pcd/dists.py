@@ -35,13 +35,18 @@ class BinGrid:
             raise ValueError(f"grid upper {self.upper} must exceed lower {self.lower}")
         if self.count < 2:
             raise ValueError(f"grid needs at least 2 bins, got {self.count}")
+        # Not a field, so equality, hashing and repr ignore it.
+        centers = self.lower + (np.arange(self.count) + 0.5) * self.width
+        centers.flags.writeable = False
+        object.__setattr__(self, "_centers", centers)
 
     @property
     def width(self) -> float:
         return (self.upper - self.lower) / self.count
 
     def centers(self) -> np.ndarray:
-        return self.lower + (np.arange(self.count) + 0.5) * self.width
+        """The bin centers, computed once per grid; read-only."""
+        return self._centers
 
     def index_of(self, value: float) -> int:
         """Bin index containing value, clipped to the grid range."""
@@ -76,9 +81,20 @@ class CategoricalDist:
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
 
+    @classmethod
+    def _trusted(cls, grid: BinGrid, probs: np.ndarray) -> "CategoricalDist":
+        """A distribution on probabilities this package just computed and
+        owns: float64 of the grid's count, normalized. It skips the checks
+        and the copy and marks the array read-only."""
+        probs.flags.writeable = False
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "grid", grid)
+        object.__setattr__(dist, "probs", probs)
+        return dist
+
     @staticmethod
     def uniform(grid: BinGrid) -> "CategoricalDist":
-        return CategoricalDist(grid, np.full(grid.count, 1.0 / grid.count))
+        return CategoricalDist._trusted(grid, np.full(grid.count, 1.0 / grid.count))
 
     def argmax_center(self) -> float:
         # np.argmax resolves ties toward the lower index, which is the
@@ -190,7 +206,9 @@ def _kde_rows(
     totals = weights.sum(axis=1)
     return tuple(
         # All kernel mass underflowed; every center is equally (un)likely.
-        CategoricalDist.uniform(grid) if total <= 0.0 else CategoricalDist(grid, w / total)
+        CategoricalDist.uniform(grid)
+        if total <= 0.0
+        else CategoricalDist._trusted(grid, w / total)
         for grid, w, total in zip(grids, weights, totals)
     )
 
@@ -315,7 +333,7 @@ def contrastive_combine(
         )
     log_w -= log_w.max()
     w = np.exp(log_w)
-    return CategoricalDist(p.grid, w / w.sum())
+    return CategoricalDist._trusted(p.grid, w / w.sum())
 
 
 def contrastive_combine_multi(

@@ -263,16 +263,18 @@ def _decode_autoregressive(
 
 def _decode_from_samples(
     draws: np.ndarray,
+    contrast: bool,
     kde_cfg: KdeConfig,
     decode_cfg: DecodeConfig,
     rng_select: np.random.Generator,
 ) -> np.ndarray:
-    """The action from one step's draws: one row per view, the original first."""
-    if len(draws) == 1:
-        dist = kde_estimate_one(draws[0], kde_cfg)
-    else:
+    """The action from one step's draws: one row per view, the original
+    first, and the masked view second on the contrast arm."""
+    if contrast:
         orig, masked = kde_estimate_multi(draws[0], kde_cfg, draws[1])
         dist = contrastive_combine_multi(orig, masked, decode_cfg)
+    else:
+        dist = kde_estimate_one(draws[0], kde_cfg)
     return select_action(dist, decode_cfg, rng_select)
 
 
@@ -343,7 +345,7 @@ def _play(
                 keys.append((seed, "policy_masked", step))
             draws = yield views, keys
             action = _decode_from_samples(
-                draws, cfg.kde, cfg.decode, substream(seed, "select", step)
+                draws, contrast, cfg.kde, cfg.decode, substream(seed, "select", step)
             )
         else:
             action = decide(obs, obs_masked, scene, step)
@@ -418,6 +420,29 @@ def _draw(sample_many, instruction, n: int, requests: list[Request]) -> np.ndarr
         return exc
 
 
+def _checked(policy, drawn: np.ndarray | Exception, requests: list[Request], n: int):
+    """The sampler's reply, unless it is draws of the wrong shape.
+
+    Draws must be (views, n, m): a reply short of a view or of an action
+    dimension would otherwise be decoded as some other arm, or as some
+    other episode's draws. That is a broken sampler, not a failed episode,
+    so it raises out of the whole batch.
+    """
+    if isinstance(drawn, Exception):
+        return drawn
+    shape = np.shape(drawn)
+    m = getattr(policy, "m", None)
+    if m is None and len(shape) == 3:
+        m = shape[2]  # a policy that does not declare m may draw any width
+    expected = (sum(len(views) for views, _ in requests), n, m)
+    if shape != expected:
+        raise ValueError(
+            f"{type(policy).__name__} sampler returned draws of shape {shape}, "
+            f"expected (views, n, m) = {expected}"
+        )
+    return drawn
+
+
 def _lockstep(
     policy,
     world: World,
@@ -434,6 +459,7 @@ def _lockstep(
     alone, so the error lands on the episode whose view caused it and its
     call-mates draw what they would have drawn alone. Every episode owns its
     seed and its streams, so the records do not depend on who shared a call.
+    Draws of the wrong shape raise a ValueError out of the whole call.
     """
     sample_many = _sampler(policy)
     instruction, n = world.task.instruction, cfg.kde.n_samples
@@ -448,14 +474,17 @@ def _lockstep(
         if not live:
             return episodes
         start = time.perf_counter()
-        drawn = _draw(sample_many, instruction, n, [ep.request for ep in live])
+        requests = [ep.request for ep in live]
+        drawn = _checked(policy, _draw(sample_many, instruction, n, requests), requests, n)
         if not isinstance(drawn, Exception):
-            ends = itertools.accumulate(len(ep.request[0]) for ep in live)
-            replies = [drawn[end - len(ep.request[0]) : end] for ep, end in zip(live, ends)]
+            ends = itertools.accumulate(len(views) for views, _ in requests)
+            replies = [drawn[end - len(views) : end] for (views, _), end in zip(requests, ends)]
         elif len(live) == 1:
             replies = [drawn]
         else:
-            replies = [_draw(sample_many, instruction, n, [ep.request]) for ep in live]
+            replies = [
+                _checked(policy, _draw(sample_many, instruction, n, [r]), [r], n) for r in requests
+            ]
         share = (time.perf_counter() - start) / len(live)
         for ep, reply in zip(live, replies):
             ep.seconds += share

@@ -8,13 +8,14 @@ an inpainting strategy fills the masked cells on every channel.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy import ndimage
 
-from .raster import Observation, mask_centroid
+from .raster import FOUR_CONNECTED, Observation, mask_centroid
 
 # Plane-0 values above this count as object mass for component analysis.
 OBJECT_MASS_EPS = 1e-6
@@ -125,7 +126,15 @@ class TrackerState:
 
 
 def _object_components(obs: Observation) -> tuple[np.ndarray, int]:
-    return ndimage.label(obs.planes[0] > OBJECT_MASS_EPS)
+    return ndimage.label(obs.planes[0] > OBJECT_MASS_EPS, FOUR_CONNECTED)
+
+
+@functools.lru_cache(maxsize=16)
+def _half_cell_offsets(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """j + 0.5 and i + 0.5 of every cell of a raster, flattened row-major."""
+    rows, cols = (np.indices((height, width)) + 0.5).reshape(2, -1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return cols, rows
 
 
 def _shift_bitmap(bitmap: np.ndarray, dx: int, dy: int) -> np.ndarray:
@@ -197,7 +206,14 @@ def annotate_initial(
 def track(
     state: TrackerState, obs_t: Observation, truth: TruthProvider | None = None
 ) -> ObjectMask:
-    """Propagate the mask to the current observation, updating the state."""
+    """Propagate the mask to the current observation, updating the state.
+
+    The nearest tracker labels the plane-0 components once and takes every
+    component's cell count and its sums of j + 0.5 and i + 0.5 in one pass.
+    Those sums are of half-integers, so they are exact in any order, and
+    sum / count / w is mask_centroid's value for the component. The
+    nearest centroid wins, ties going to the lowest label.
+    """
     if state.mode == "exact":
         if truth is None:
             raise ValueError("exact tracking requires a ground-truth provider")
@@ -210,18 +226,21 @@ def track(
         # Nothing anchored yet; an empty mask stays empty.
         return state.last_mask
     labels, n_components = _object_components(obs_t)
-    best = None
+    h, w = labels.shape
+    cells = labels.ravel()
+    col_half, row_half = _half_cell_offsets(h, w)
+    counts = np.bincount(cells, minlength=n_components + 1)[1:]
+    cxs = (np.bincount(cells, col_half, n_components + 1)[1:] / counts / w).tolist()
+    cys = (np.bincount(cells, row_half, n_components + 1)[1:] / counts / h).tolist()
+    best = 0
     best_dist = np.inf
-    h, w = obs_t.height, obs_t.width
-    for comp in range(1, n_components + 1):
-        bitmap = labels == comp
-        cx, cy = mask_centroid(bitmap)  # component is non-empty by construction
+    for comp, (cx, cy) in enumerate(zip(cxs, cys), start=1):
         d_cells = np.hypot((cx - prev_centroid[0]) * w, (cy - prev_centroid[1]) * h)
         if d_cells < best_dist:
-            best, best_dist = bitmap, d_cells
-    if best is None or best_dist > MATCH_RADIUS_CELLS:
+            best, best_dist = comp, d_cells
+    if best == 0 or best_dist > MATCH_RADIUS_CELLS:
         return state.last_mask  # occlusion fallback: keep the previous mask
-    mask = ObjectMask(best, state.object_id)
+    mask = ObjectMask(labels == best, state.object_id)
     state.last_mask = mask
     return mask
 
@@ -230,32 +249,30 @@ def _diffuse(planes: np.ndarray, masked: np.ndarray, iterations: int) -> None:
     """Jacobi 4-neighborhood averaging of the masked cells of every plane, in place.
 
     Only the masked cells change, and they read only themselves and their
-    neighbors, so the passes run on the mask's bounding box plus a
-    one-cell halo. The window's zero pad stands in for the raster's zero
-    pad where the window meets the image edge; elsewhere it is read only
-    by halo cells, whose averages are discarded. Each cell's sum and
-    division are the full-raster pass's, so the result is the same.
+    neighbors, so each pass gathers just those cells' four neighbors from
+    a zero-padded copy of the planes, one row per direction, into a
+    buffer made once. Summing the rows in order gives each cell the
+    full-raster pass's ((up + down) + left) + right, and its division by
+    the neighbor count is the same too, so the result is the same.
     """
-    h, w = masked.shape
-    rows, cols = np.flatnonzero(masked.any(axis=1)), np.flatnonzero(masked.any(axis=0))
-    y0, y1 = max(rows[0] - 1, 0), min(rows[-1] + 2, h)
-    x0, x1 = max(cols[0] - 1, 0), min(cols[-1] + 2, w)
-    counts = np.full((h, w), 4.0)
-    counts[0, :] -= 1.0
-    counts[-1, :] -= 1.0
-    counts[:, 0] -= 1.0
-    counts[:, -1] -= 1.0
-    counts = counts[y0:y1, x0:x1]
-    window = masked[y0:y1, x0:x1]
-    padded = np.zeros((planes.shape[0], y1 - y0 + 2, x1 - x0 + 2))
-    inner = padded[:, 1:-1, 1:-1]
-    inner[...] = planes[:, y0:y1, x0:x1]
+    n_planes, (h, w) = planes.shape[0], masked.shape
+    padded = np.zeros((n_planes, h + 2, w + 2))
+    padded[:, 1:-1, 1:-1] = planes
+    flat = padded.reshape(-1)
+    ii, jj = np.nonzero(masked)
+    counts = 4.0 - (ii == 0) - (ii == h - 1) - (jj == 0) - (jj == w - 1)
+    cells = ((ii + 1) * (w + 2) + jj + 1) + padded[0].size * np.arange(n_planes)[:, None]
+    cells = cells.ravel()
+    neighbors = cells + np.array([-(w + 2), w + 2, -1, 1])[:, None]  # up, down, left, right
+    counts = np.tile(counts, n_planes)
+    gathered = np.empty(neighbors.shape)
+    total = np.empty(cells.size)
     for _ in range(iterations):
-        total = (
-            padded[:, :-2, 1:-1] + padded[:, 2:, 1:-1] + padded[:, 1:-1, :-2] + padded[:, 1:-1, 2:]
-        )
-        np.copyto(inner, total / counts, where=window)
-    planes[:, y0:y1, x0:x1] = inner
+        flat.take(neighbors, out=gathered)
+        np.add.reduce(gathered, axis=0, out=total)
+        np.divide(total, counts, out=total)
+        flat[cells] = total
+    planes[:, masked] = total.reshape(n_planes, -1)
 
 
 def inpaint(obs: Observation, mask: ObjectMask, strategy: InpaintStrategy) -> Observation:
@@ -279,4 +296,4 @@ def inpaint(obs: Observation, mask: ObjectMask, strategy: InpaintStrategy) -> Ob
         _diffuse(planes, masked, strategy.iterations)
     else:
         raise TypeError(f"unknown inpaint strategy {type(strategy).__name__}")
-    return Observation(planes, obs.step_index)
+    return Observation._trusted(planes, obs.step_index)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import ndimage
 
 from .dists import BinGrid, CategoricalDist
-from .raster import LIGHT_PLANE, OBJECT_PLANE, Observation, cell_centers
+from .raster import FOUR_CONNECTED, LIGHT_PLANE, OBJECT_PLANE, Observation, cell_centers
 from .world import (
     GRASP_RADIUS,
     GRIPPER_INTENSITY,
@@ -103,7 +103,7 @@ def find_class_blob(
     hits = np.abs(obs.planes[OBJECT_PLANE] - class_intensity(label)) <= INTENSITY_TOL
     if not hits.any():
         return None
-    labeled, n = ndimage.label(hits)
+    labeled, n = ndimage.label(hits, FOUR_CONNECTED)
     xs, ys = cell_centers(obs.width, obs.height)
     best: tuple[float, float] | None = None
     best_key = math.inf
@@ -202,7 +202,7 @@ class SpuriousMixturePolicy:
         obj_probs = self._branch(t, gripper, target)
         spur_probs = self._branch(t, gripper, light)
         lam = self.params.lam
-        return CategoricalDist(self.grids[t], (1.0 - lam) * obj_probs + lam * spur_probs)
+        return CategoricalDist._trusted(self.grids[t], (1.0 - lam) * obj_probs + lam * spur_probs)
 
     def _branch(
         self,

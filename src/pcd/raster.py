@@ -18,6 +18,11 @@ OBJECT_PLANE = 0
 LIGHT_PLANE = 1
 TEXTURE_PLANE = 2
 
+# 4-connectivity, the structure ndimage.label builds by default on every
+# call; passing it saves rebuilding it.
+FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+FOUR_CONNECTED.flags.writeable = False
+
 
 @dataclass(frozen=True, eq=False)
 class Observation:
@@ -39,6 +44,17 @@ class Observation:
         planes = planes.copy()
         planes.flags.writeable = False
         object.__setattr__(self, "planes", planes)
+
+    @classmethod
+    def _trusted(cls, planes: np.ndarray, step_index: int) -> "Observation":
+        """An observation on planes this package just computed and owns:
+        (3, H, W) float64 in [0, 1]. It skips the checks and the copy and
+        marks the array read-only."""
+        planes.flags.writeable = False
+        obs = object.__new__(cls)
+        object.__setattr__(obs, "planes", planes)
+        object.__setattr__(obs, "step_index", step_index)
+        return obs
 
     @property
     def height(self) -> int:

@@ -15,6 +15,7 @@ import time
 from typing import Callable
 
 import numpy as np
+from scipy import ndimage
 
 from pcd.config import PcdRunConfig
 from pcd.dists import (
@@ -41,11 +42,15 @@ from pcd.harness import (
     _MaskPipeline,
 )
 from pcd.masking import (
+    MATCH_RADIUS_CELLS,
+    OBJECT_MASS_EPS,
     BackgroundMeanFill,
     ConstantFill,
     InpaintStrategy,
     NeighborDiffusionFill,
     ObjectMask,
+    TrackerState,
+    TruthProvider,
 )
 from pcd.policies import (
     DiffusionSchedule,
@@ -61,7 +66,7 @@ from pcd.policies import (
     find_gripper,
     find_light_peak,
 )
-from pcd.raster import Observation, cell_centers, disk_mask
+from pcd.raster import Observation, cell_centers, disk_mask, mask_centroid
 from pcd.seeding import substream
 from pcd.world import (
     BASE_BRIGHTNESS,
@@ -201,6 +206,41 @@ def kde_estimate_multi_columns(
         dims_o.append(kde_estimate(col_o, grid, _resolve_bandwidth(col_o, config)))
         dims_m.append(kde_estimate(col_m, grid, _resolve_bandwidth(col_m, config)))
     return ActionDistribution(tuple(dims_o)), ActionDistribution(tuple(dims_m))
+
+
+# -- tracking: a full-raster bitmap and a centroid per component ---------------
+
+
+def track(
+    state: TrackerState, obs_t: Observation, truth: TruthProvider | None = None
+) -> ObjectMask:
+    """Propagate the mask to the current observation, updating the state."""
+    if state.mode == "exact":
+        if truth is None:
+            raise ValueError("exact tracking requires a ground-truth provider")
+        mask = ObjectMask(truth(state.object_id), state.object_id)
+        state.last_mask = mask
+        return mask
+
+    prev_centroid = mask_centroid(state.last_mask.bitmap)
+    if prev_centroid is None:
+        # Nothing anchored yet; an empty mask stays empty.
+        return state.last_mask
+    labels, n_components = ndimage.label(obs_t.planes[0] > OBJECT_MASS_EPS)
+    best = None
+    best_dist = np.inf
+    h, w = obs_t.height, obs_t.width
+    for comp in range(1, n_components + 1):
+        bitmap = labels == comp
+        cx, cy = mask_centroid(bitmap)  # component is non-empty by construction
+        d_cells = np.hypot((cx - prev_centroid[0]) * w, (cy - prev_centroid[1]) * h)
+        if d_cells < best_dist:
+            best, best_dist = bitmap, d_cells
+    if best is None or best_dist > MATCH_RADIUS_CELLS:
+        return state.last_mask  # occlusion fallback: keep the previous mask
+    mask = ObjectMask(best, state.object_id)
+    state.last_mask = mask
+    return mask
 
 
 # -- inpainting: the full-raster diffusion fill ------------------------------

@@ -34,6 +34,8 @@ from pcd.dists import (
     select_index,
 )
 
+from pcd.policies import SpuriousMixtureParams, SpuriousMixturePolicy
+
 import reference_impl as frozen
 
 EXACT_TOL = 1e-12
@@ -563,6 +565,49 @@ def test_categorical_validation() -> None:
     dist = CategoricalDist.uniform(grid)
     with pytest.raises(ValueError):
         dist.probs[0] = 0.9  # stored read-only
+
+
+def test_bin_grid_centers_are_cached_read_only_and_not_a_field() -> None:
+    grid = BinGrid(-0.08, 0.08, 21)
+    centers = grid.centers()
+    assert centers is grid.centers()
+    assert np.array_equal(centers, grid.lower + (np.arange(grid.count) + 0.5) * grid.width)
+    with pytest.raises(ValueError, match="read-only"):
+        centers[0] = 0.0
+    twin = BinGrid(-0.08, 0.08, 21)
+    assert twin == grid and hash(twin) == hash(grid)
+    assert hash(grid) == hash((grid.lower, grid.upper, grid.count))
+    assert BinGrid(-0.08, 0.08, 22) != grid
+    assert repr(grid) == "BinGrid(lower=-0.08, upper=0.08, count=21)"
+
+
+def package_dists() -> list[CategoricalDist]:
+    """Distributions the package built through its trusted constructor."""
+    rng = np.random.default_rng(31)
+    orig, masked = kde_estimate_multi(
+        rng.normal(size=(24, 3)), KdeConfig(), rng.normal(0.3, 1.5, size=(24, 3))
+    )
+    combined = contrastive_combine_multi(orig, masked, DecodeConfig(alpha=1.5))
+    far = kde_estimate(np.array([100.0]), BinGrid(0.0, 1.0, 16), 1e-3)  # underflow: uniform
+    policy = SpuriousMixturePolicy(SpuriousMixtureParams(lam=0.4))
+    percepts = [((0.2, 0.3), (0.6, 0.5), (0.1, 0.9)), ((0.5, 0.5), None, (0.52, 0.5))]
+    predicted = [policy.predict_from(p, t) for p in percepts for t in range(policy.m)]
+    return [*orig.dims, *masked.dims, *combined.dims, far, *predicted]
+
+
+def test_trusted_categorical_equals_the_checked_constructor() -> None:
+    for dist in package_dists():
+        checked = CategoricalDist(dist.grid, dist.probs)
+        assert checked.grid == dist.grid
+        assert np.array_equal(checked.probs, dist.probs)
+        assert checked.probs.dtype == dist.probs.dtype == np.float64
+        assert not dist.probs.flags.writeable
+        fresh = np.array(dist.probs)
+        trusted = CategoricalDist._trusted(dist.grid, fresh)
+        assert trusted.probs is fresh and not fresh.flags.writeable
+        assert np.array_equal(trusted.probs, CategoricalDist(dist.grid, fresh).probs)
+        with pytest.raises(ValueError, match="read-only"):
+            dist.probs[0] = 0.5
 
 
 def test_action_distribution_needs_a_dim() -> None:

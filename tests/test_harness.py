@@ -155,6 +155,25 @@ class RaisesOnMarkedView:
         return draws
 
 
+class ReplyCut:
+    """A sampler whose replies lose their last entry along one axis: a view
+    of the batched call, a draw, or an action dimension."""
+
+    def __init__(self, policy, axis: int, batched: bool = True) -> None:
+        self.policy = policy
+        self.m = policy.m
+        self.axis = axis
+        if not batched:  # only `sample`, which the harness stacks per view
+            self.sample_many = None
+
+    def sample_many(self, views, instruction, n, rngs):
+        draws = self.policy.sample_many(views, instruction, n, rngs)
+        return np.delete(draws, -1, axis=self.axis)
+
+    def sample(self, obs, instruction, n, rng):
+        return np.delete(self.policy.sample(obs, instruction, n, rng), -1, axis=self.axis - 1)
+
+
 # -------------------------------------------------------------- records
 
 
@@ -364,6 +383,33 @@ def test_lockstep_makes_one_sample_many_call_per_round(monkeypatch) -> None:
             result = evaluate_batch(replace(cfg, trials=1, base_seed=ep_seed))
             assert result.n_errors == 0
             assert chains == [per_episode] * result.records[0].total_steps
+
+
+@pytest.mark.parametrize(
+    "axis, batched, got, expected",
+    [
+        (0, True, "(7, 24, 3)", "(8, 24, 3)"),  # one view short
+        (2, True, "(8, 24, 2)", "(8, 24, 3)"),  # one action dimension short
+        (2, False, "(8, 24, 2)", "(8, 24, 3)"),  # the stacked `sample` fallback
+        (1, False, "(8, 23, 3)", "(8, 24, 3)"),
+    ],
+)
+def test_a_sampler_reply_of_the_wrong_shape_fails_the_whole_batch(
+    axis, batched, got, expected
+) -> None:
+    # a reply one view short used to be sliced so that one episode decoded
+    # a single view as the plain arm: records changed, with no error counted
+    cfg = from_dict(json.loads(CALIBRATED.read_text())["pcd_config"])
+    policy = ReplyCut(build_policy(cfg), axis, batched)
+    with mock.patch.object(pcd.harness, "build_policy", lambda cfg, task=None: policy):
+        with pytest.raises(ValueError) as raised:
+            evaluate_batch(replace(cfg, trials=4))
+    message = str(raised.value)
+    assert message.startswith("ReplyCut sampler returned draws of shape")
+    assert got in message and expected in message
+    world = World(make_task(cfg.task_kind, cfg.max_steps), cfg.shift)
+    with pytest.raises(ValueError, match="ReplyCut sampler"):
+        run_baseline_episode(policy, world, cfg, seed=0)
 
 
 def without_gripper(obs: Observation) -> Observation:

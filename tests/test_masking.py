@@ -13,6 +13,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from pcd.masking import (
+    OBJECT_MASS_EPS,
     BackgroundMeanFill,
     BoxPrompt,
     ConstantFill,
@@ -20,6 +21,7 @@ from pcd.masking import (
     NeighborDiffusionFill,
     ObjectMask,
     PointPrompt,
+    TrackerState,
     annotate_initial,
     inpaint,
     track,
@@ -327,6 +329,23 @@ def test_inpaint_strategy_validation() -> None:
         inpaint(obs, wrong, ConstantFill(0.0))
 
 
+def test_inpaint_output_is_a_trusted_read_only_observation() -> None:
+    obs = toy_observation()
+    for strategy in (ConstantFill(0.25), BackgroundMeanFill(), NeighborDiffusionFill(5)):
+        out = inpaint(obs, ObjectMask(block_mask(), "target"), strategy)
+        checked = Observation(out.planes, out.step_index)
+        assert np.array_equal(checked.planes, out.planes)
+        assert checked.planes.dtype == out.planes.dtype == np.float64
+        assert not out.planes.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            out.planes[0, 0, 0] = 0.5
+    planes = np.array(obs.planes)
+    trusted = Observation._trusted(planes, 4)
+    assert trusted.planes is planes and not planes.flags.writeable
+    assert trusted.step_index == 4
+    assert trusted.same_pixels(Observation(planes, 4))
+
+
 def test_mask_union_and_validation() -> None:
     a = ObjectMask(block_mask(), "a")
     other = np.zeros((8, 8), dtype=bool)
@@ -399,8 +418,8 @@ def assert_inpaint_matches_frozen(obs: Observation, bitmap: np.ndarray, strategy
 @seed(22)
 @settings(max_examples=300, deadline=None)
 @given(
-    h=st.integers(2, 14),
-    w=st.integers(2, 14),
+    h=st.integers(2, 32),
+    w=st.integers(2, 32),
     kind=st.sampled_from(MASK_KINDS),
     strategy=STRATEGIES,
     stream=st.integers(0, 2**32 - 1),
@@ -432,3 +451,105 @@ def test_diffusion_fill_matches_the_frozen_copy_at_every_edge_and_corner(iterati
         world.ground_truth_mask(scene, "blue_block")
     )
     assert_inpaint_matches_frozen(obs, union.bitmap, NeighborDiffusionFill(iterations))
+
+
+# --------------------------------------------- tracking against the frozen copy
+
+TRACK_KINDS = ("blobs", "tie", "radius", "empty_previous", "exact")
+
+
+def blob_plane(rng: np.random.Generator, h: int, w: int, n_blobs: int) -> np.ndarray:
+    """Plane 0 with up to n_blobs small boxes of object mass (boxes may
+    touch and merge) over a background of mass at or below the threshold."""
+    plane = rng.uniform(0.0, OBJECT_MASS_EPS, (h, w)) * (rng.random((h, w)) < 0.3)
+    for _ in range(n_blobs):
+        y0, y1, x0, x1 = random_box(rng, h, w)
+        plane[y0 : min(y1, y0 + 3), x0 : min(x1, x0 + 3)] = rng.uniform(0.1, 1.0)
+    return plane
+
+
+def one_cell(h: int, w: int, i: int, j: int) -> np.ndarray:
+    bitmap = np.zeros((h, w), dtype=bool)
+    bitmap[i, j] = True
+    return bitmap
+
+
+def track_case(kind: str, rng: np.random.Generator, h: int, w: int, n_blobs: int):
+    """(plane 0, previous mask bitmap, tracker mode, truth bitmap) for a kind."""
+    plane = blob_plane(rng, h, w, n_blobs)
+    i, j = int(rng.integers(0, h)), int(rng.integers(0, w))
+    previous = one_cell(h, w, i, j)
+    truth = None
+    if kind == "blobs":  # the previous mask is a box, a blob of this view, or one cell
+        choice = int(rng.integers(0, 3))
+        if choice == 0:
+            y0, y1, x0, x1 = random_box(rng, h, w)
+            previous = np.zeros((h, w), dtype=bool)
+            previous[y0:y1, x0:x1] = True
+        elif choice == 1 and (plane > OBJECT_MASS_EPS).any():
+            previous = plane > OBJECT_MASS_EPS
+    elif kind == "tie":  # one-cell blobs at equal offsets from the previous cell
+        d = int(rng.integers(1, 8))
+        cells = [(i, j - d), (i, j + d), (i - d, j), (i + d, j)]
+        for y, x in cells[: int(rng.integers(2, 5))]:
+            if 0 <= y < h and 0 <= x < w:
+                plane[y, x] = 0.5
+    elif kind == "radius":  # one blob 5, 6 or 7 cells away along an axis
+        d = int(rng.integers(5, 8))
+        y, x = (i, j + d) if rng.random() < 0.5 else (i + d, j)
+        if y < h and x < w:
+            plane[y, x] = 0.5
+    elif kind == "empty_previous":
+        previous = np.zeros((h, w), dtype=bool)
+    else:
+        truth = plane > OBJECT_MASS_EPS
+    mode = "exact" if kind == "exact" else "nearest"
+    return plane, previous, mode, truth
+
+
+def assert_track_matches_frozen(
+    obs: Observation, previous: np.ndarray, mode: str, truth: np.ndarray | None
+) -> None:
+    prev_mask = ObjectMask(previous, "target")
+    provider = None if truth is None else (lambda label: truth)
+    states = [TrackerState("target", prev_mask, mode) for _ in range(2)]
+    got = track(states[0], obs, provider)
+    expect = frozen.track(states[1], obs, provider)
+    assert np.array_equal(got.bitmap, expect.bitmap)
+    assert got.object_id == expect.object_id == "target"
+    # a fallback hands back the previous mask object itself
+    assert (got is prev_mask) == (expect is prev_mask)
+    assert states[0].last_mask is got and states[1].last_mask is expect
+
+
+@seed(37)
+@settings(max_examples=400, deadline=None)
+@given(
+    h=st.integers(2, 40),
+    w=st.integers(2, 40),
+    kind=st.sampled_from(TRACK_KINDS),
+    n_blobs=st.integers(0, 8),
+    stream=st.integers(0, 2**32 - 1),
+)
+def test_track_equals_the_frozen_per_component_copy(h, w, kind, n_blobs, stream) -> None:
+    rng = np.random.default_rng(stream)
+    plane, previous, mode, truth = track_case(kind, rng, h, w, n_blobs)
+    planes = np.stack([plane, rng.random((h, w)), rng.random((h, w))])
+    assert_track_matches_frozen(Observation(planes), previous, mode, truth)
+
+
+def test_track_ties_go_to_the_lowest_label_and_the_radius_edge_holds() -> None:
+    h = w = 16
+    previous = one_cell(h, w, 8, 8)
+    planes = np.zeros((3, h, w))
+    planes[0, 8, 5] = planes[0, 8, 11] = planes[0, 5, 8] = 0.5  # all 3 cells away
+    state = TrackerState("target", ObjectMask(previous, "target"), "nearest")
+    assert np.array_equal(track(state, Observation(planes)).bitmap, one_cell(h, w, 5, 8))
+    assert_track_matches_frozen(Observation(planes), previous, "nearest", None)
+    for d, kept in ((6, False), (7, True)):
+        planes = np.zeros((3, h, w))
+        planes[0, 8, 8 - d] = 0.5
+        prev_mask = ObjectMask(previous, "target")
+        state = TrackerState("target", prev_mask, "nearest")
+        assert (track(state, Observation(planes)) is prev_mask) is kept
+        assert_track_matches_frozen(Observation(planes), previous, "nearest", None)
