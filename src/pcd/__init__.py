@@ -6,6 +6,9 @@ objects have been masked out, then reweights actions by how much more
 likely they are with the objects present. Everything a policy still
 prefers without the objects is, by construction, driven by something
 task-irrelevant.
+
+The top level holds what the README's library examples use; everything
+else is in the submodules.
 """
 
 from .config import (
@@ -17,157 +20,36 @@ from .config import (
     load_config,
     to_dict,
 )
-from .dists import (
-    ActionDistribution,
-    BinGrid,
-    CategoricalDist,
-    DecodeConfig,
-    KdeConfig,
-    contrastive_combine,
-    contrastive_combine_multi,
-    gaussian_kernel,
-    kde_estimate,
-    kde_estimate_multi,
-    kde_grid,
-    scott_bandwidth,
-    select_action,
-    select_index,
-)
+from .dists import DecodeConfig, KdeConfig
 from .harness import (
     BatchResult,
     EpisodeRecord,
-    MIReport,
-    StepLog,
-    append_results,
-    benchmark_config,
     build_policy,
-    calibrate,
-    discrete_mi,
-    estimate_mi,
     evaluate_batch,
-    load_results,
     paired_bootstrap_pvalue,
-    result_row,
-    run_baseline_episode,
-    run_pcd_episode,
-    sweep,
-    sweep_alpha,
-    sweep_to_csv,
+    run_episode,
 )
-from .masking import (
-    BackgroundMeanFill,
-    BoxPrompt,
-    ConstantFill,
-    DetectorPrompt,
-    NeighborDiffusionFill,
-    ObjectMask,
-    PointPrompt,
-    TrackerState,
-    annotate_initial,
-    inpaint,
-    track,
-)
-from .policies import (
-    DiffusionSchedule,
-    GaussianMixture,
-    MixtureDiffusionPolicy,
-    PrefixContext,
-    ScriptedExpert,
-    SpuriousMixtureParams,
-    SpuriousMixturePolicy,
-    default_grids,
-    denoise_step,
-    mixture_noise_prediction,
-)
-from .raster import Observation, observation_rgb, write_ppm
-from .seeding import substream
-from .world import (
-    Instruction,
-    Scene,
-    SceneObject,
-    ShiftSpec,
-    SpuriousFactors,
-    StepResult,
-    TaskSpec,
-    World,
-    make_task,
-)
+from .world import ShiftSpec, World, make_task
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionDistribution",
-    "BackgroundMeanFill",
     "BatchResult",
-    "BinGrid",
-    "BoxPrompt",
-    "CategoricalDist",
-    "ConstantFill",
     "DecodeConfig",
-    "DetectorPrompt",
-    "DiffusionSchedule",
     "EpisodeRecord",
-    "GaussianMixture",
-    "Instruction",
     "KdeConfig",
-    "MIReport",
     "MaskConfig",
-    "MixtureDiffusionPolicy",
-    "NeighborDiffusionFill",
-    "ObjectMask",
-    "Observation",
     "PcdRunConfig",
-    "PointPrompt",
     "PolicyConfig",
-    "PrefixContext",
-    "Scene",
-    "SceneObject",
-    "ScriptedExpert",
     "ShiftSpec",
-    "SpuriousFactors",
-    "SpuriousMixtureParams",
-    "SpuriousMixturePolicy",
-    "StepLog",
-    "StepResult",
-    "TaskSpec",
-    "TrackerState",
     "World",
-    "annotate_initial",
-    "append_results",
-    "benchmark_config",
     "build_policy",
-    "calibrate",
     "config_hash",
-    "contrastive_combine",
-    "contrastive_combine_multi",
-    "default_grids",
-    "denoise_step",
-    "discrete_mi",
-    "estimate_mi",
     "evaluate_batch",
     "from_dict",
-    "gaussian_kernel",
-    "inpaint",
-    "kde_estimate",
-    "kde_estimate_multi",
-    "kde_grid",
     "load_config",
-    "load_results",
     "make_task",
-    "mixture_noise_prediction",
-    "observation_rgb",
     "paired_bootstrap_pvalue",
-    "result_row",
-    "run_baseline_episode",
-    "run_pcd_episode",
-    "scott_bandwidth",
-    "select_action",
-    "select_index",
-    "substream",
-    "sweep",
-    "sweep_alpha",
-    "sweep_to_csv",
+    "run_episode",
     "to_dict",
-    "track",
-    "write_ppm",
 ]

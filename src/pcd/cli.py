@@ -5,6 +5,8 @@ one configuration, `sweep` varies one axis, `mi` reports the
 action/factor dependence diagnostic, `demo` renders a single episode,
 and `calibrate` searches the mixture weight for the benchmark band.
 Flags override config-file values; unset flags leave them untouched.
+The exit code is 2 for bad input, and 1 when `run`, `sweep` or `demo`
+had episodes that raised; those episodes score as failures.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from .harness import (
     estimate_mi,
     evaluate_batch,
     result_row,
-    run_baseline_episode,
-    run_pcd_episode,
+    run_episode,
     sweep,
     sweep_to_csv,
 )
@@ -128,8 +129,19 @@ def _print_result(cfg: cfgmod.PcdRunConfig, result) -> None:
     print(
         f"rate_completion={result.rate_completion:.4f} "
         f"rate_maxstep={result.rate_maxstep:.4f} "
-        f"mean_ms={result.mean_ms:.2f} config={result.config_hash}"
+        f"mean_ms={result.mean_ms:.2f} n_errors={result.n_errors} "
+        f"config={result.config_hash}"
     )
+
+
+def _errors_exit(results) -> int:
+    """1, with a line on stderr, when any batch had episodes that raised."""
+    failed = sum(r.n_errors for r in results)
+    if not failed:
+        return 0
+    total = sum(r.n_trials for r in results)
+    print(f"error: {failed} of {total} episodes raised; they score as failures", file=sys.stderr)
+    return 1
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -139,7 +151,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.out:
         append_results(args.out, result_row(cfg, result))
         print(f"appended to {args.out}")
-    return 0
+    return _errors_exit([result])
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -147,13 +159,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     raw = args.values if args.values else DEFAULT_SWEEP_VALUES[args.axis]
     values = [v.strip() for v in raw.split(",") if v.strip()]
     rows = sweep(cfg, args.axis, values)
-    header = f"{args.axis:>12}  trials  rate_completion  rate_maxstep  mean_ms"
+    header = f"{args.axis:>12}  trials  rate_completion  rate_maxstep  mean_ms  n_errors"
     print(header)
     for value, result in rows:
         print(
             f"{str(value):>12}  {result.n_trials:6d}  "
             f"{result.rate_completion:15.4f}  {result.rate_maxstep:12.4f}  "
-            f"{result.mean_ms:7.1f}"
+            f"{result.mean_ms:7.1f}  {result.n_errors:8d}"
         )
     if args.csv:
         sweep_to_csv(args.axis, rows, args.csv)
@@ -162,7 +174,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for value, result in rows:
             append_results(args.out, result_row(_row_cfg(cfg, args.axis, value), result))
         print(f"appended to {args.out}")
-    return 0
+    return _errors_exit([result for _, result in rows])
 
 
 def _row_cfg(cfg: cfgmod.PcdRunConfig, axis: str, value) -> cfgmod.PcdRunConfig:
@@ -220,18 +232,16 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         )
 
     seed = cfg.base_seed
-    if cfg.method == "pcd":
-        record = run_pcd_episode(policy, world, cfg, seed, observer=observer)
-    else:
-        record = run_baseline_episode(policy, world, cfg, seed, observer=observer)
+    record = run_episode(policy, world, cfg, seed, observer=observer)
     print(
         f"episode seed={seed} steps={record.total_steps} "
         f"success_completion={record.success_completion} "
         f"success_maxstep={record.success_maxstep}"
     )
-    if record.error is not None:
-        print(f"error: {record.error}")
     print(f"frames in {out_dir}")
+    if record.error is not None:
+        print(f"error: episode raised {record.error}", file=sys.stderr)
+        return 1
     return 0
 
 

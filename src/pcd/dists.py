@@ -96,11 +96,6 @@ class CategoricalDist:
     def uniform(grid: BinGrid) -> "CategoricalDist":
         return CategoricalDist._trusted(grid, np.full(grid.count, 1.0 / grid.count))
 
-    def argmax_center(self) -> float:
-        # np.argmax resolves ties toward the lower index, which is the
-        # documented greedy tie-break.
-        return float(self.grid.centers()[int(np.argmax(self.probs))])
-
 
 @dataclass(frozen=True)
 class ActionDistribution:
@@ -167,24 +162,11 @@ def gaussian_kernel(u: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * np.square(u)) / SQRT_2PI
 
 
-def scott_bandwidth(samples: np.ndarray) -> float:
-    """Bandwidth sigma * N^(-1/5), floored at 1e-6.
-
-    sigma is the standard deviation of the sample set itself (ddof=0), so
-    constant samples hit the floor instead of producing a zero bandwidth.
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("no samples")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("samples must be finite")
-    b = float(np.std(x)) * x.size ** (-1.0 / 5.0)
-    return max(b, BANDWIDTH_FLOOR)
-
-
 def _resolve_bandwidths(rows: np.ndarray, config: KdeConfig) -> np.ndarray:
     """Bandwidth of each row of a C-contiguous (M, N) sample matrix: the
-    row's scott_bandwidth, or the fixed bandwidth."""
+    fixed bandwidth, or the scott rule, sigma * N^(-1/5) floored at
+    BANDWIDTH_FLOOR. sigma is the row's own standard deviation (ddof=0),
+    so a constant row hits the floor instead of a zero bandwidth."""
     if isinstance(config.bandwidth, str):
         b = np.std(rows, axis=1) * rows.shape[1] ** (-1.0 / 5.0)
         return np.maximum(b, BANDWIDTH_FLOOR)
@@ -220,7 +202,10 @@ def _shared_grids(
     bw_b: np.ndarray,
     config: KdeConfig,
 ) -> list[BinGrid]:
-    """kde_grid of each pair of rows of two sample matrices with M rows each."""
+    """The shared support of each pair of rows of two sample matrices with M
+    rows each: the pair's combined range, padded on each side by
+    support_pad times the larger of the two bandwidths, so the margin holds
+    for either branch. Both contrast branches are evaluated on this grid."""
     pad = config.support_pad * np.maximum(bw_a, bw_b)
     lo = np.minimum(rows_a.min(axis=1), rows_b.min(axis=1)) - pad
     hi = np.maximum(rows_a.max(axis=1), rows_b.max(axis=1)) + pad
@@ -230,40 +215,6 @@ def _shared_grids(
     return [BinGrid(float(a), float(b), config.grid_count) for a, b in zip(lo, hi)]
 
 
-def kde_estimate(samples: np.ndarray, grid: BinGrid, bandwidth: float) -> CategoricalDist:
-    """Kernel density estimate evaluated at bin centers, as a categorical.
-
-    probs[k] is proportional to sum_j K((center_k - sample_j) / bandwidth);
-    renormalization over the bins absorbs every constant factor.
-    """
-    x = np.asarray(samples, dtype=np.float64).ravel()
-    if x.size == 0:
-        raise ValueError("no samples")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("samples must be finite")
-    if not (bandwidth > 0.0):
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
-    return _kde_rows(x[None], [grid], np.array([bandwidth], dtype=np.float64))[0]
-
-
-def kde_grid(samples_a: np.ndarray, samples_b: np.ndarray, config: KdeConfig) -> BinGrid:
-    """Shared support for two sample sets of the same action dimension.
-
-    Spans the combined sample range padded by support_pad bandwidths on
-    each side. Both contrast branches must be evaluated on this one grid;
-    with the scott rule the larger of the two branch bandwidths pads, so
-    the margin guarantee holds for either branch.
-    """
-    a = np.asarray(samples_a, dtype=np.float64).ravel()[None]
-    b = np.asarray(samples_b, dtype=np.float64).ravel()[None]
-    if a.size == 0 or b.size == 0:
-        raise ValueError("no samples")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("samples must be finite")
-    bw_a, bw_b = _resolve_bandwidths(a, config), _resolve_bandwidths(b, config)
-    return _shared_grids(a, b, bw_a, bw_b, config)[0]
-
-
 def kde_estimate_multi(
     samples: np.ndarray, config: KdeConfig, samples_masked: np.ndarray
 ) -> tuple[ActionDistribution, ActionDistribution]:
@@ -271,9 +222,9 @@ def kde_estimate_multi(
 
     samples and samples_masked are (N, M) matrices of action draws under
     the original and masked observation. Dimensions are treated as
-    independent; each gets one shared grid built from both columns, as
-    kde_grid would build it, and each branch gets kde_estimate's result,
-    all dimensions at once.
+    independent; each gets one shared grid built from both columns, and
+    each branch's probs[k] is proportional to sum_j K((center_k -
+    sample_j) / bandwidth), all dimensions at once.
     """
     orig = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     masked = np.atleast_2d(np.asarray(samples_masked, dtype=np.float64))
@@ -349,7 +300,8 @@ def contrastive_combine_multi(
 
 
 def select_index(dist: CategoricalDist, cfg: DecodeConfig, rng: np.random.Generator) -> int:
-    """Pick one bin: the argmax under greedy, a categorical draw otherwise."""
+    """Pick one bin: the argmax under greedy, a categorical draw otherwise.
+    np.argmax breaks ties toward the lower index, the greedy tie-break."""
     if cfg.selection == "greedy":
         return int(np.argmax(dist.probs))
     cdf = np.cumsum(dist.probs)

@@ -228,6 +228,10 @@ class _MaskPipeline:
                     rng=substream(self.seed, "annotate", i),
                     tracker=self.cfg.tracker,
                 )
+                # A point or box mask is named after its prompt, but the
+                # exact tracker looks its object up by name: follow the
+                # label the prompt was placed on.
+                tracker.object_id = label
                 masks.append(mask)
                 self.trackers.append(tracker)
         else:
@@ -492,35 +496,25 @@ def _lockstep(
         live = [ep for ep in live if ep.request is not None]
 
 
-def _run_episode(
-    policy,
-    world: World,
-    cfg: PcdRunConfig,
-    seed: int,
-    contrast: bool,
-    observer: Observer | None = None,
-) -> EpisodeRecord:
-    return _lockstep(policy, world, cfg, [seed], contrast, observer)[0].record()
-
-
-def run_baseline_episode(
-    policy, world: World, cfg: PcdRunConfig, seed: int, observer: Observer | None = None
-) -> EpisodeRecord:
-    return _run_episode(policy, world, cfg, seed, contrast=False, observer=observer)
-
-
-def run_pcd_episode(
-    policy, world: World, cfg: PcdRunConfig, seed: int, observer: Observer | None = None
-) -> EpisodeRecord:
-    """Contrastive episode. With alpha = 0 the masked branch would have no
-    effect on any output, so it is skipped entirely and the run follows
-    the exact baseline code path (and random streams)."""
+def _contrast(policy, cfg: PcdRunConfig) -> bool:
+    """Whether cfg's episodes run the masked branch: only on the pcd arm,
+    which the scripted expert cannot run, having nothing to contrast. With
+    alpha = 0 the masked branch would change no output, so it is skipped
+    and the run follows the baseline's code path and random streams."""
+    if cfg.method != "pcd":
+        return False
     if isinstance(policy, ScriptedExpert):
-        raise ValueError(
-            "the scripted expert exposes no distributions or samples to contrast"
-        )
-    contrast = cfg.decode.alpha > 0.0
-    return _run_episode(policy, world, cfg, seed, contrast=contrast, observer=observer)
+        raise ValueError("contrastive decoding cannot run on the scripted expert")
+    return cfg.decode.alpha > 0.0
+
+
+def run_episode(
+    policy, world: World, cfg: PcdRunConfig, seed: int, observer: Observer | None = None
+) -> EpisodeRecord:
+    """One episode of any policy object on world, on the arm cfg.method
+    names: the record evaluate_batch gives seed. The observer sees every
+    step; an episode that raised is recorded with its error."""
+    return _lockstep(policy, world, cfg, [seed], _contrast(policy, cfg), observer)[0].record()
 
 
 def evaluate_batch(cfg: PcdRunConfig, workers: int = 1) -> BatchResult:
@@ -535,11 +529,7 @@ def evaluate_batch(cfg: PcdRunConfig, workers: int = 1) -> BatchResult:
     task = make_task(cfg.task_kind, cfg.max_steps)
     world = World(task, cfg.shift, stop_on_success=not cfg.both_metrics)
     policy = build_policy(cfg, task)
-    if cfg.method == "pcd" and isinstance(policy, ScriptedExpert):
-        raise ValueError("contrastive decoding cannot run on the scripted expert")
-
-    # With alpha = 0 the masked branch is skipped, as in run_pcd_episode.
-    contrast = cfg.method == "pcd" and cfg.decode.alpha > 0.0
+    contrast = _contrast(policy, cfg)
     seeds = [cfg.base_seed + i for i in range(cfg.trials)]
     records = [ep.record() for ep in _lockstep(policy, world, cfg, seeds, contrast)]
     n = len(records)
@@ -592,10 +582,6 @@ def _with_axis_value(cfg: PcdRunConfig, axis: str, value) -> PcdRunConfig:
 def sweep(cfg: PcdRunConfig, axis: str, values: Sequence) -> list[tuple[Any, BatchResult]]:
     """Evaluate cfg once per value of one axis; all rows share seeds."""
     return [(v, evaluate_batch(_with_axis_value(cfg, axis, v))) for v in values]
-
-
-def sweep_alpha(cfg: PcdRunConfig, alphas: Sequence[float]) -> list[tuple[float, BatchResult]]:
-    return sweep(replace(cfg, method="pcd"), "alpha", list(alphas))
 
 
 def sweep_to_csv(axis: str, rows: Sequence[tuple[Any, BatchResult]], path: str | Path) -> None:

@@ -281,31 +281,6 @@ class DiffusionSchedule:
         )
 
 
-def denoise_step(
-    actions: np.ndarray,
-    k: int,
-    schedule: DiffusionSchedule,
-    noise_prediction,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One ancestral update from noise level k to k-1.
-
-    Accepts a single action vector or a batch (rows are actions); the
-    predicted noise must match the input shape.
-    """
-    if not (1 <= k <= schedule.steps):
-        raise ValueError(f"step index {k} outside 1..{schedule.steps}")
-    x = np.asarray(actions, dtype=np.float64)
-    eps = np.asarray(noise_prediction(x, k), dtype=np.float64)
-    if eps.shape != x.shape:
-        raise ValueError("noise prediction shape must match the action shape")
-    i = k - 1
-    out = schedule.scale[i] * (x - schedule.noise_coef[i] * eps)
-    if schedule.sigma[i] > 0.0:
-        out = out + schedule.sigma[i] * rng.standard_normal(x.shape)
-    return out
-
-
 @dataclass(frozen=True)
 class GaussianMixture:
     """Diagonal Gaussian mixture over action vectors."""
@@ -362,28 +337,47 @@ def _log_weights(weights: np.ndarray) -> np.ndarray:
     return np.where(weights > 0.0, np.log(np.maximum(weights, 1e-300)), -np.inf)
 
 
-def mixture_noise_prediction(mix: GaussianMixture, schedule: DiffusionSchedule):
-    """Exact noise prediction for actions drawn from `mix`.
+def sample_mixtures(
+    mixes: Sequence[GaussianMixture],
+    schedule: DiffusionSchedule,
+    n: int,
+    rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """n draws from the ancestral chain of each mixture, as one (C, n, M) array.
 
-    At noise level k the diffused density is again a Gaussian mixture
-    with means sqrt(signal_frac)*mu and variances signal_frac*sigma^2 +
-    (1 - signal_frac); the predicted noise follows from its score.
+    The noise prediction is exact: at noise level k the diffused density
+    is again a Gaussian mixture, with means sqrt(signal_frac)*mu and
+    variances signal_frac*sigma^2 + (1 - signal_frac), and the predicted
+    noise follows from its score. The C chains step together through one
+    batched noise prediction, and each draws its noise from its own
+    generator in one call, in the order a step-by-step chain would (x0,
+    then one (n, M) block per step with sigma > 0, from step `steps` down
+    to 1). Row c does not depend on the other chains.
     """
-
-    log_w = _log_weights(mix.weights)
-
-    def predict(x: np.ndarray, k: int) -> np.ndarray:
-        frac = schedule.signal_frac[k - 1]
-        means = np.sqrt(frac) * mix.means  # (B, M)
-        variances = frac * mix.sigmas**2 + (1.0 - frac)
-        log_norm = np.log(2.0 * math.pi * variances).sum(axis=1)
-        batch = np.atleast_2d(x)  # (n, M)
+    if n < 1:
+        raise ValueError("need at least one sample")
+    if not mixes or len(mixes) != len(rngs):
+        raise ValueError("need at least one view and one generator per view")
+    log_w = _log_weights(np.stack([mix.weights for mix in mixes]))  # (C, B)
+    # per-step tables, (S, C, B, M) and (S, C, B), indexed by k - 1
+    frac = schedule.signal_frac[:, None, None, None]
+    means = np.sqrt(frac) * np.stack([mix.means for mix in mixes])
+    variances = frac * np.stack([mix.sigmas for mix in mixes]) ** 2 + (1.0 - frac)
+    log_norm = np.log(2.0 * math.pi * variances).sum(axis=3)
+    noisy = schedule.sigma > 0.0
+    draws = (1 + int(noisy.sum()), n, means.shape[3])
+    noise = np.stack([rng.standard_normal(draws) for rng in rngs])  # (C, 1 + K, n, M)
+    x = noise[:, 0]
+    drawn = 1
+    for i in range(schedule.steps - 1, -1, -1):
         eps = _mixture_eps(
-            batch[None], log_w[None], means[None], variances[None], log_norm[None], frac
+            x, log_w, means[i], variances[i], log_norm[i], schedule.signal_frac[i]
         )
-        return eps[0].reshape(np.shape(x))
-
-    return predict
+        x = schedule.scale[i] * (x - schedule.noise_coef[i] * eps)
+        if noisy[i]:
+            x = x + schedule.sigma[i] * noise[:, drawn]
+            drawn += 1
+    return x
 
 
 class MixtureDiffusionPolicy:
@@ -453,38 +447,11 @@ class MixtureDiffusionPolicy:
     ) -> np.ndarray:
         """n actions from the chain of each view, as one (C, n, 3) array.
 
-        Row c is bit for bit sample(views[c], instruction, n, rngs[c]):
-        the C chains step together through one batched noise prediction,
-        and each draws its noise from its own generator in one call, in
-        the order a step-by-step chain would (x0, then one (n, 3) block
-        per step with sigma > 0, from step `steps` down to 1).
+        Row c is bit for bit sample(views[c], instruction, n, rngs[c]).
         """
-        if n < 1:
-            raise ValueError("need at least one sample")
-        if not views or len(views) != len(rngs):
-            raise ValueError("need at least one view and one generator per view")
-        sched = self.schedule
-        mixes = [self.target_mixture(obs, instruction) for obs in views]
-        log_w = _log_weights(np.stack([mix.weights for mix in mixes]))  # (C, B)
-        # per-step tables, (S, C, B, M) and (S, C, B), indexed by k - 1
-        frac = sched.signal_frac[:, None, None, None]
-        means = np.sqrt(frac) * np.stack([mix.means for mix in mixes])
-        variances = frac * np.stack([mix.sigmas for mix in mixes]) ** 2 + (1.0 - frac)
-        log_norm = np.log(2.0 * math.pi * variances).sum(axis=3)
-        noisy = sched.sigma > 0.0
-        draws = (1 + int(noisy.sum()), n, 3)
-        noise = np.stack([rng.standard_normal(draws) for rng in rngs])  # (C, 1 + K, n, 3)
-        x = noise[:, 0]
-        drawn = 1
-        for i in range(sched.steps - 1, -1, -1):
-            eps = _mixture_eps(
-                x, log_w, means[i], variances[i], log_norm[i], sched.signal_frac[i]
-            )
-            x = sched.scale[i] * (x - sched.noise_coef[i] * eps)
-            if noisy[i]:
-                x = x + sched.sigma[i] * noise[:, drawn]
-                drawn += 1
-        return x
+        return sample_mixtures(
+            [self.target_mixture(obs, instruction) for obs in views], self.schedule, n, rngs
+        )
 
 
 # -- scripted oracle -------------------------------------------------------

@@ -30,7 +30,6 @@ from pcd.dists import (
     gaussian_kernel,
     kde_estimate_multi,
     kde_estimate_one,
-    scott_bandwidth,
     select_action,
     select_index,
 )
@@ -140,6 +139,21 @@ def sample_scalar(
     for k in range(policy.schedule.steps, 0, -1):
         x = denoise_step(x, k, policy.schedule, predict, rng)
     return x
+
+
+def scott_bandwidth(samples: np.ndarray) -> float:
+    """Bandwidth sigma * N^(-1/5), floored at 1e-6.
+
+    sigma is the standard deviation of the sample set itself (ddof=0), so
+    constant samples hit the floor instead of producing a zero bandwidth.
+    """
+    x = np.asarray(samples, dtype=np.float64)
+    if x.size == 0:
+        raise ValueError("no samples")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("samples must be finite")
+    b = float(np.std(x)) * x.size ** (-1.0 / 5.0)
+    return max(b, BANDWIDTH_FLOOR)
 
 
 def _resolve_bandwidth(samples: np.ndarray, config: KdeConfig) -> float:

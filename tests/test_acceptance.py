@@ -24,16 +24,14 @@ from pcd.dists import (
     DecodeConfig,
     KdeConfig,
     contrastive_combine,
-    kde_estimate,
-    kde_grid,
-    scott_bandwidth,
+    kde_estimate_one,
 )
 from pcd.harness import (
     BatchResult,
     estimate_mi,
     evaluate_batch,
     paired_bootstrap_pvalue,
-    sweep_alpha,
+    sweep,
 )
 from pcd.policies import (
     DiffusionSchedule,
@@ -41,10 +39,11 @@ from pcd.policies import (
     ScriptedExpert,
     SpuriousMixtureParams,
     SpuriousMixturePolicy,
-    denoise_step,
-    mixture_noise_prediction,
+    sample_mixtures,
 )
 from pcd.world import ShiftSpec, World, make_task
+
+from reference_impl import scott_bandwidth
 
 CALIBRATION_PATH = Path(__file__).resolve().parent.parent / "configs" / "calibrated.json"
 
@@ -130,7 +129,7 @@ def short_baseline(calibration) -> BatchResult:
 @pytest.fixture(scope="module")
 def short_alpha_rows(calibration) -> list[tuple[float, BatchResult]]:
     _, _, pcd_cfg = calibration
-    return sweep_alpha(replace(pcd_cfg, trials=SHORT_TRIALS), ALPHA_LADDER)
+    return sweep(replace(pcd_cfg, trials=SHORT_TRIALS), "alpha", ALPHA_LADDER)
 
 
 # ------------------------------------------------------------- the criteria
@@ -203,8 +202,8 @@ def test_criterion_03_kde_matches_closed_form_mixture() -> None:
         else:
             bandwidth = float(rng.uniform(0.02, 0.3))
             spec = bandwidth
-        grid = kde_grid(samples, samples, KdeConfig(bandwidth=spec))
-        probs = kde_estimate(samples, grid, bandwidth).probs
+        dist = kde_estimate_one(samples[:, None], KdeConfig(bandwidth=spec)).dims[0]
+        grid, probs = dist.grid, dist.probs
         density = norm.pdf(
             grid.centers()[:, None], loc=samples[None, :], scale=bandwidth
         ).mean(axis=1)
@@ -244,13 +243,9 @@ def test_criterion_05_denoising_chain_recovers_target_statistics() -> None:
     start = time.perf_counter()
 
     def run_chain(mix: GaussianMixture, n: int, seed: int) -> np.ndarray:
+        # the chain every diffusion episode samples through, as one chain
         sched = DiffusionSchedule.cosine(120)
-        predict = mixture_noise_prediction(mix, sched)
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((n, mix.means.shape[1]))
-        for k in range(sched.steps, 0, -1):
-            x = denoise_step(x, k, sched, predict, rng)
-        return x
+        return sample_mixtures([mix], sched, n, [np.random.default_rng(seed)])[0]
 
     mu = np.array([0.3, -0.2, 0.0])
     sigma = np.array([0.05, 0.1, 0.2])

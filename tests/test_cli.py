@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+import pcd.cli
+import pcd.harness
 from pcd.cli import main
 from pcd.config import from_dict
 from pcd.harness import evaluate_batch, load_results
@@ -30,8 +32,27 @@ FAST_RUN = (
 )
 
 
+class Boom:
+    """A sampler policy whose every query raises."""
+
+    m = 3
+
+    def sample(self, obs, instruction, n, rng):
+        raise RuntimeError("boom")
+
+
+@pytest.fixture
+def failing_policy(monkeypatch) -> None:
+    def build(cfg, task=None):
+        return Boom()
+
+    monkeypatch.setattr(pcd.harness, "build_policy", build)
+    monkeypatch.setattr(pcd.cli, "build_policy", build)
+
+
 def test_run_prints_rates(capsys) -> None:
     out = run_cli(capsys, *FAST_RUN)
+    assert "n_errors=0" in out
     assert "rate_completion=" in out
     assert "rate_maxstep=" in out
     assert "task=reach" in out
@@ -98,8 +119,11 @@ def test_sweep_prints_table_and_writes_csv(capsys, tmp_path) -> None:
         "--csv", str(csv_path),
     )
     lines = [ln for ln in out.splitlines() if ln.strip()]
-    assert lines[0].split() == ["alpha", "trials", "rate_completion", "rate_maxstep", "mean_ms"]
-    assert len([ln for ln in lines if ln.lstrip().startswith(("0", "1"))]) == 2
+    assert lines[0].split() == [
+        "alpha", "trials", "rate_completion", "rate_maxstep", "mean_ms", "n_errors"
+    ]
+    rows = [ln for ln in lines if ln.lstrip().startswith(("0", "1"))]
+    assert len(rows) == 2 and all(row.split()[-1] == "0" for row in rows)
     content = csv_path.read_text().splitlines()
     assert len(content) == 3  # header + two rows
 
@@ -225,6 +249,34 @@ def test_bad_inputs_exit_with_error(capsys, tmp_path) -> None:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: trials must be an integer")
+
+
+def test_errored_episodes_are_counted_and_exit_1(capsys, tmp_path, failing_policy) -> None:
+    assert main(list(FAST_RUN)) == 1
+    out, err = capsys.readouterr()
+    assert "n_errors=6" in out
+    assert err == "error: 6 of 6 episodes raised; they score as failures\n"
+
+    sweep = ["sweep", *FAST_RUN[1:], "--axis", "alpha", "--values", "0,1"]
+    assert main(sweep) == 1
+    out, err = capsys.readouterr()
+    assert "n_errors" in out.splitlines()[0]
+    assert [line.split()[-1] for line in out.splitlines()[1:]] == ["6", "6"]
+    assert err.startswith("error: 12 of 12 episodes raised")
+
+    demo = ["demo", "--policy", "diffusion", "--out-dir", str(tmp_path / "frames")]
+    assert main(demo) == 1
+    out, err = capsys.readouterr()
+    assert "steps=0" in out
+    assert err == "error: episode raised RuntimeError: boom\n"
+
+
+def test_exact_tracker_with_a_point_prompt_runs_clean(capsys) -> None:
+    # every pcd episode past step 0 used to raise, and the run exited 0
+    out = run_cli(
+        capsys, *FAST_RUN, "--method", "pcd", "--prompt", "point", "--tracker", "exact"
+    )
+    assert "n_errors=0" in out
 
 
 def test_unknown_flag_value_rejected_by_argparse() -> None:

@@ -24,12 +24,11 @@ from pcd.dists import (
     KdeConfig,
     contrastive_combine,
     contrastive_combine_multi,
+    _resolve_bandwidths,
+    _shared_grids,
     gaussian_kernel,
-    kde_estimate,
     kde_estimate_multi,
     kde_estimate_one,
-    kde_grid,
-    scott_bandwidth,
     select_action,
     select_index,
 )
@@ -224,24 +223,38 @@ def test_kernel_value_at_zero() -> None:
     assert abs(float(gaussian_kernel(np.array([0.0]))[0]) - 1.0 / math.sqrt(2 * math.pi)) <= EXACT_TOL
 
 
+def scott(samples: np.ndarray) -> float:
+    """The scott-rule bandwidth of one sample set, as the KDE resolves it."""
+    return float(_resolve_bandwidths(samples[None], KdeConfig())[0])
+
+
+def kde1(samples, bandwidth: float, **grid) -> CategoricalDist:
+    """One dimension's KDE, on the grid kde_estimate_one builds for it."""
+    x = np.asarray(samples, dtype=np.float64)[:, None]
+    return kde_estimate_one(x, KdeConfig(bandwidth=bandwidth, **grid)).dims[0]
+
+
 def test_scott_bandwidth_examples() -> None:
     pm_one = np.array([1.0] * 16 + [-1.0] * 16)  # sigma exactly 1, N = 32 = 2^5
-    assert scott_bandwidth(pm_one) == 0.5
-    assert scott_bandwidth(np.full(10, 3.0)) == 1e-6
+    assert scott(pm_one) == 0.5
+    assert scott(np.full(10, 3.0)) == 1e-6  # the floor
     rng = np.random.default_rng(7)
     x = rng.standard_normal(100)
     sigma = math.sqrt(sum((v - x.mean()) ** 2 for v in x) / 100.0)
-    assert abs(scott_bandwidth(x) - sigma * 100 ** (-0.2)) <= EXACT_TOL
+    assert abs(scott(x) - sigma * 100 ** (-0.2)) <= EXACT_TOL
+    fixed = _resolve_bandwidths(np.zeros((3, 5)), KdeConfig(bandwidth=0.25))
+    assert fixed.tolist() == [0.25, 0.25, 0.25]
 
 
 def test_scott_bandwidth_rejects_empty() -> None:
-    with pytest.raises(ValueError, match="no samples"):
-        scott_bandwidth(np.array([]))
+    # the KDE refuses a branch too small to estimate before any bandwidth
+    with pytest.raises(ValueError, match="at least 2"):
+        kde_estimate_one(np.array([]), KdeConfig())
 
 
 def test_kde_symmetry() -> None:
-    grid = BinGrid(-2.0, 2.0, 64)
-    out = kde_estimate(np.array([-1.0, 1.0]), grid, 0.3)
+    out = kde1([-1.0, 1.0], 0.3, grid_count=64)
+    assert (out.grid.lower, out.grid.upper) == (-2.2, 2.2)
     np.testing.assert_allclose(out.probs, out.probs[::-1], atol=EXACT_TOL, rtol=0.0)
 
 
@@ -249,69 +262,71 @@ def test_kde_matches_mixture_oracle() -> None:
     """KDE at bin centers is exactly a normalized equal-weight Gaussian mixture."""
     rng = np.random.default_rng(11)
     samples = 0.3 + 0.05 * rng.standard_normal(24)
-    grid = BinGrid(-1.0, 1.0, 256)
     b = 0.05
-    out = kde_estimate(samples, grid, b)
-    density = norm.pdf(grid.centers()[:, None], loc=samples[None, :], scale=b).sum(axis=1)
+    out = kde1(samples, b)
+    assert out.grid.count == 256
+    density = norm.pdf(out.grid.centers()[:, None], loc=samples[None, :], scale=b).sum(axis=1)
     np.testing.assert_allclose(out.probs, density / density.sum(), atol=EXACT_TOL, rtol=0.0)
 
 
 @seed(5)
 @given(
-    samples=st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=1, max_size=24),
+    samples=st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=2, max_size=24),
     bandwidth=st.floats(min_value=0.05, max_value=2.0),
 )
 def test_kde_oracle_property(samples: list[float], bandwidth: float) -> None:
     # Bandwidth floor keeps the oracle's own kernel sums from underflowing;
     # the zero-mass fallback is exercised by the dedicated test below.
     x = np.asarray(samples)
-    grid = BinGrid(float(x.min()) - 4.0, float(x.max()) + 4.0, 64)
-    out = kde_estimate(x, grid, bandwidth)
-    density = norm.pdf(grid.centers()[:, None], loc=x[None, :], scale=bandwidth).sum(axis=1)
+    out = kde1(x, bandwidth, grid_count=64)
+    density = norm.pdf(out.grid.centers()[:, None], loc=x[None, :], scale=bandwidth).sum(axis=1)
     assert np.max(np.abs(out.probs - density / density.sum())) <= EXACT_TOL
     assert abs(float(out.probs.sum()) - 1.0) <= SUM_TOL
 
 
 def test_kde_input_validation() -> None:
-    grid = BinGrid(0.0, 1.0, 16)
-    with pytest.raises(ValueError, match="no samples"):
-        kde_estimate(np.array([]), grid, 0.1)
-    with pytest.raises(ValueError, match="finite"):
-        kde_estimate(np.array([0.1, math.nan]), grid, 0.1)
-    with pytest.raises(ValueError, match="bandwidth"):
-        kde_estimate(np.array([0.1]), grid, 0.0)
+    with pytest.raises(ValueError, match="at least 2"):
+        kde_estimate_one(np.zeros((0, 1)), KdeConfig(bandwidth=0.1))
+    with pytest.raises(ValueError, match="non-finite"):
+        kde_estimate_one(np.array([[0.1], [math.nan]]), KdeConfig(bandwidth=0.1))
+    with pytest.raises(ValueError, match="non-finite"):
+        kde_estimate_one(np.array([[0.1], [-math.inf]]), KdeConfig())
 
 
 def test_kde_far_grid_degrades_to_uniform() -> None:
     # Every kernel value underflows; the estimate falls back to uniform
     # rather than dividing by zero.
-    grid = BinGrid(1e6, 1e6 + 1.0, 16)
-    out = kde_estimate(np.array([0.0]), grid, 1e-3)
+    out = kde1([0.0, 1.0], 1e-6, grid_count=16, support_pad=0.0)
+    assert (out.grid.lower, out.grid.upper) == (0.0, 1.0)
     np.testing.assert_allclose(out.probs, np.full(16, 1.0 / 16.0), atol=EXACT_TOL, rtol=0.0)
 
 
 def test_kde_grid_examples() -> None:
     cfg = KdeConfig(bandwidth=1.0, support_pad=4.0, grid_count=256)
-    g = kde_grid(np.array([0.0]), np.array([0.0]), cfg)
+    g = kde_estimate_one(np.zeros((2, 1)), cfg).dims[0].grid
     assert (g.lower, g.upper) == (-4.0, 4.0)
-    g = kde_grid(np.array([0.0]), np.array([10.0]), cfg)
+    dist_o, dist_m = kde_estimate_multi(np.zeros((2, 1)), cfg, np.full((2, 1), 10.0))
+    g = dist_o.dims[0].grid
     assert (g.lower, g.upper) == (-4.0, 14.0)
-    assert g.count == 256
+    assert g.count == 256 and dist_m.dims[0].grid == g
 
 
 @seed(6)
 @given(
     a=st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=12),
     b=st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=12),
-    bw=st.floats(min_value=1e-3, max_value=3.0),
+    bw=st.floats(min_value=1e-3, max_value=3.0) | st.just("scott"),
 )
-def test_kde_grid_margin_property(a: list[float], b: list[float], bw: float) -> None:
+def test_kde_grid_margin_property(a: list[float], b: list[float], bw) -> None:
     cfg = KdeConfig(bandwidth=bw, support_pad=4.0)
-    g = kde_grid(np.asarray(a), np.asarray(b), cfg)
+    rows_a, rows_b = np.asarray(a)[None], np.asarray(b)[None]
+    bw_a, bw_b = _resolve_bandwidths(rows_a, cfg), _resolve_bandwidths(rows_b, cfg)
+    [g] = _shared_grids(rows_a, rows_b, bw_a, bw_b, cfg)
+    pad = 4.0 * float(max(bw_a[0], bw_b[0]))  # either branch's margin holds
     both = np.asarray(a + b)
-    slack = 4.0 * bw * 1e-9  # float tolerance on the pad arithmetic
-    assert g.lower <= both.min() - 4.0 * bw + slack
-    assert g.upper >= both.max() + 4.0 * bw - slack
+    slack = pad * 1e-9 + 1e-12  # float tolerance on the pad arithmetic
+    assert g.lower <= both.min() - pad + slack
+    assert g.upper >= both.max() + pad - slack
 
 
 def test_kde_multi_single_dim_reduces() -> None:
@@ -321,9 +336,9 @@ def test_kde_multi_single_dim_reduces() -> None:
     cfg = KdeConfig(bandwidth=0.2)
     dist_o, dist_m = kde_estimate_multi(orig, cfg, masked)
     assert dist_o.m == dist_m.m == 1
-    grid = kde_grid(orig[:, 0], masked[:, 0], cfg)
+    grid = frozen.kde_grid(orig[:, 0], masked[:, 0], cfg)
     assert dist_o.dims[0].grid == grid == dist_m.dims[0].grid
-    single = kde_estimate(orig[:, 0], grid, 0.2)
+    single = frozen.kde_estimate(orig[:, 0], grid, 0.2)
     np.testing.assert_allclose(dist_o.dims[0].probs, single.probs, atol=EXACT_TOL, rtol=0.0)
 
 
@@ -358,8 +373,8 @@ def test_kde_multi_validation() -> None:
 
 
 def assert_same_as_frozen(samples, cfg: KdeConfig, samples_masked) -> None:
-    """kde_estimate_multi, kde_grid and kde_estimate give the frozen
-    per-column copies' grids and bits."""
+    """kde_estimate_multi gives the frozen per-column copy's grids, its
+    bandwidths and its bits."""
     ours = kde_estimate_multi(samples, cfg, samples_masked)
     want = frozen.kde_estimate_multi_columns(samples, cfg, samples_masked)
     for got, expect in zip(ours, want):
@@ -367,13 +382,9 @@ def assert_same_as_frozen(samples, cfg: KdeConfig, samples_masked) -> None:
         for g, w in zip(got.dims, expect.dims):
             assert g.grid == w.grid
             assert np.array_equal(g.probs, w.probs)
-    for col, col_masked in zip(samples.T, samples_masked.T):
-        grid = kde_grid(col, col_masked, cfg)
-        assert grid == frozen.kde_grid(col, col_masked, cfg)
-        bw = frozen._resolve_bandwidth(col, cfg)
-        assert np.array_equal(
-            kde_estimate(col, grid, bw).probs, frozen.kde_estimate(col, grid, bw).probs
-        )
+    for rows in (samples.T, samples_masked.T):
+        bws = _resolve_bandwidths(np.ascontiguousarray(rows), cfg)
+        assert bws.tolist() == [frozen._resolve_bandwidth(col, cfg) for col in rows]
 
 
 @seed(21)
@@ -508,8 +519,9 @@ def test_greedy_picks_prob_one_center() -> None:
 def test_greedy_tie_breaks_low() -> None:
     grid = BinGrid(0.0, 3.0, 3)
     dist = CategoricalDist(grid, np.array([0.4, 0.4, 0.2]))
-    assert select_index(dist, DecodeConfig(selection="greedy"), np.random.default_rng(0)) == 0
-    assert dist.argmax_center() == 0.5
+    greedy = DecodeConfig(selection="greedy")
+    assert select_index(dist, greedy, np.random.default_rng(0)) == 0
+    assert select_action(ActionDistribution((dist,)), greedy, np.random.default_rng(0))[0] == 0.5
 
 
 def test_sample_selection_reproducible_and_calibrated() -> None:
@@ -588,7 +600,7 @@ def package_dists() -> list[CategoricalDist]:
         rng.normal(size=(24, 3)), KdeConfig(), rng.normal(0.3, 1.5, size=(24, 3))
     )
     combined = contrastive_combine_multi(orig, masked, DecodeConfig(alpha=1.5))
-    far = kde_estimate(np.array([100.0]), BinGrid(0.0, 1.0, 16), 1e-3)  # underflow: uniform
+    far = kde1([0.0, 1.0], 1e-6, grid_count=16, support_pad=0.0)  # underflow: uniform
     policy = SpuriousMixturePolicy(SpuriousMixtureParams(lam=0.4))
     percepts = [((0.2, 0.3), (0.6, 0.5), (0.1, 0.9)), ((0.5, 0.5), None, (0.52, 0.5))]
     predicted = [policy.predict_from(p, t) for p in percepts for t in range(policy.m)]

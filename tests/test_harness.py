@@ -46,10 +46,8 @@ from pcd.harness import (
     load_results,
     paired_bootstrap_pvalue,
     result_row,
-    run_baseline_episode,
-    run_pcd_episode,
+    run_episode,
     sweep,
-    sweep_alpha,
     sweep_to_csv,
 )
 from pcd.masking import ConstantFill, NeighborDiffusionFill, inpaint
@@ -215,10 +213,10 @@ def test_baseline_episode_is_deterministic() -> None:
     cfg = mixture_cfg()
     world = World(make_task("reach"), cfg.shift)
     policy = build_policy(cfg)
-    a = run_baseline_episode(policy, world, cfg, seed=7)
-    b = run_baseline_episode(policy, world, cfg, seed=7)
+    a = run_episode(policy, world, cfg, seed=7)
+    b = run_episode(policy, world, cfg, seed=7)
     assert a.replay_key() == b.replay_key()
-    c = run_baseline_episode(policy, world, cfg, seed=8)
+    c = run_episode(policy, world, cfg, seed=8)
     assert c.replay_key() != a.replay_key()
 
 
@@ -229,8 +227,8 @@ def test_alpha_zero_episode_matches_baseline_bitwise() -> None:
     world = World(make_task("reach"), base.shift)
     policy = build_policy(base)
     for seed in range(ALPHA_ZERO_SEEDS):
-        a = run_baseline_episode(policy, world, base, seed)
-        b = run_pcd_episode(policy, world, zero, seed)
+        a = run_episode(policy, world, base, seed)
+        b = run_episode(policy, world, zero, seed)
         assert a.replay_key() == b.replay_key()
 
 
@@ -240,8 +238,8 @@ def test_alpha_zero_mixture_policy_identity() -> None:
     policy = build_policy(cfg)
     zero = replace(cfg, method="pcd", decode=DecodeConfig(alpha=0.0))
     for seed in range(5):
-        a = run_baseline_episode(policy, world, cfg, seed)
-        b = run_pcd_episode(policy, world, zero, seed)
+        a = run_episode(policy, world, cfg, seed)
+        b = run_episode(policy, world, zero, seed)
         assert a.replay_key() == b.replay_key()
 
 
@@ -261,16 +259,63 @@ def test_expert_cannot_run_contrastively() -> None:
     cfg = mixture_cfg(policy=PolicyConfig(kind="expert"))
     world = World(make_task("reach"), cfg.shift)
     policy = build_policy(cfg)
-    with pytest.raises(ValueError, match="expert"):
-        run_pcd_episode(policy, world, replace(cfg, method="pcd"), seed=0)
-    with pytest.raises(ValueError, match="expert"):
-        evaluate_batch(replace(cfg, method="pcd"))
+    assert run_episode(policy, world, cfg, seed=0).success_completion
+    message = "^contrastive decoding cannot run on the scripted expert$"
+    for alpha in (0.0, 1.0):  # one rule and one message, at any alpha
+        pcd = replace(cfg, method="pcd", decode=DecodeConfig(alpha=alpha))
+        with pytest.raises(ValueError, match=message):
+            run_episode(policy, world, pcd, seed=0)
+        with pytest.raises(ValueError, match=message):
+            evaluate_batch(pcd)
+
+
+def test_run_episode_gives_the_batch_record_on_either_arm() -> None:
+    for cfg in (mixture_cfg(trials=3), diffusion_cfg(trials=2)):
+        world = World(make_task(cfg.task_kind, cfg.max_steps), cfg.shift)
+        policy = build_policy(cfg)
+        for method in ("baseline", "pcd"):
+            arm = replace(cfg, method=method)
+            batch = evaluate_batch(arm)
+            assert batch.n_errors == 0
+            for rec in batch.records:
+                assert run_episode(policy, world, arm, rec.seed).replay_key() == rec.replay_key()
+            masked = {s.mask_cells > 0 for r in batch.records for s in r.steps}
+            assert masked == ({True} if method == "pcd" else {False})
+
+
+@pytest.mark.parametrize("task_kind", ["reach", "move_near"])
+@pytest.mark.parametrize("prompt", ["point", "box"])
+def test_exact_tracker_follows_a_point_or_box_prompt(prompt: str, task_kind: str) -> None:
+    # the prompt names its mask after itself, not after an object; the
+    # exact tracker must still look up the label the prompt was placed on
+    cfg = mixture_cfg(
+        method="pcd",
+        task_kind=task_kind,
+        mask=MaskConfig(prompt=prompt, tracker="exact"),
+        trials=6,
+    )
+    result = evaluate_batch(cfg)
+    assert result.n_errors == 0
+    world = World(make_task(task_kind), cfg.shift)
+    labels = world.task.instruction.target_labels
+    seen = []
+
+    def observer(step, scene, obs, obs_masked, action, result) -> None:
+        if step > 0:  # after the prompt, the mask is the labels' ground truth
+            truth = world.ground_truth_mask(scene, labels[0])
+            for label in labels[1:]:
+                truth = truth.union(world.ground_truth_mask(scene, label))
+            seen.append(truth.cell_count)
+
+    rec = run_episode(build_policy(cfg), world, cfg, seed=0, observer=observer)
+    assert rec.replay_key() == result.records[0].replay_key()
+    assert seen and [s.mask_cells for s in rec.steps[1:]] == seen
 
 
 def test_component_errors_become_failed_trials() -> None:
     cfg = diffusion_cfg(method="baseline", trials=3)
     world = World(make_task("reach"), cfg.shift)
-    rec = run_baseline_episode(BoomPolicy(), world, cfg, seed=0)
+    rec = run_episode(BoomPolicy(), world, cfg, seed=0)
     assert rec.error == "RuntimeError: boom"
     assert not rec.success_completion and not rec.success_maxstep
     assert rec.total_steps == 0
@@ -280,15 +325,15 @@ def test_sample_only_policy_replays_the_batched_sampler() -> None:
     # the sampler seam stacks one `sample` per view when a policy has no
     # `sample_many`; the records must be the batched path's, bit for bit
     report = json.loads(CALIBRATED.read_text())
-    for name, runner in (("baseline_config", run_baseline_episode), ("pcd_config", run_pcd_episode)):
+    for name in ("baseline_config", "pcd_config"):
         cfg = from_dict(report[name])
         world = World(make_task(cfg.task_kind, cfg.max_steps), cfg.shift)
         policy = build_policy(cfg)
         assert hasattr(policy, "sample_many") and not hasattr(SampleOnly(policy), "sample_many")
         for ep_seed in range(3):
-            rec = runner(policy, world, cfg, seed=ep_seed)
+            rec = run_episode(policy, world, cfg, seed=ep_seed)
             assert rec.error is None
-            plain = runner(SampleOnly(policy), world, cfg, seed=ep_seed)
+            plain = run_episode(SampleOnly(policy), world, cfg, seed=ep_seed)
             assert plain.replay_key() == rec.replay_key()
 
 
@@ -409,7 +454,7 @@ def test_a_sampler_reply_of_the_wrong_shape_fails_the_whole_batch(
     assert got in message and expected in message
     world = World(make_task(cfg.task_kind, cfg.max_steps), cfg.shift)
     with pytest.raises(ValueError, match="ReplyCut sampler"):
-        run_baseline_episode(policy, world, cfg, seed=0)
+        run_episode(policy, world, replace(cfg, method="baseline"), seed=0)
 
 
 def without_gripper(obs: Observation) -> Observation:
@@ -481,13 +526,13 @@ def test_observer_receives_the_pre_step_scene() -> None:
     world = World(make_task("reach"), cfg.shift)
     policy = build_policy(cfg)
     pcd = replace(cfg, method="pcd")
-    for runner, run_cfg in ((run_baseline_episode, cfg), (run_pcd_episode, pcd)):
+    for run_cfg in (cfg, pcd):
         seen = []
 
         def observer(step, scene, obs, obs_masked, action, result) -> None:
             seen.append((step, scene.step, result.step, obs_masked is not None))
 
-        rec = runner(policy, world, run_cfg, seed=3, observer=observer)
+        rec = run_episode(policy, world, run_cfg, seed=3, observer=observer)
         assert rec.error is None
         assert [s[0] for s in seen] == list(range(rec.total_steps))
         for step, scene_step, result_step, masked in seen:
@@ -580,7 +625,7 @@ def test_both_metrics_mode_runs_to_budget() -> None:
 def test_sweep_alpha_zero_entry_is_the_baseline() -> None:
     cfg = mixture_cfg(trials=15)
     baseline = evaluate_batch(cfg)
-    rows = sweep_alpha(cfg, [0.0])
+    rows = sweep(replace(cfg, method="pcd"), "alpha", [0.0])
     assert len(rows) == 1
     alpha, entry = rows[0]
     assert alpha == 0.0

@@ -26,17 +26,18 @@ from pcd.policies import (
     ScriptedExpert,
     SpuriousMixtureParams,
     SpuriousMixturePolicy,
+    _log_weights,
+    _mixture_eps,
     default_grids,
-    denoise_step,
     find_class_blob,
     find_gripper,
     find_light_peak,
-    mixture_noise_prediction,
+    sample_mixtures,
 )
 from pcd.raster import Observation
 from pcd.world import STEP_MAX, Scene, ShiftSpec, World, make_task
 
-from reference_impl import mixture_noise_prediction as frozen_noise_prediction
+import reference_impl as frozen
 from reference_impl import sample_scalar
 
 EXACT_TOL = 1e-12
@@ -226,37 +227,23 @@ def test_schedule_field_validation() -> None:
         DiffusionSchedule(3, ones, ones, ones, np.zeros(3))
 
 
-def test_denoise_step_zero_noise_is_pure_scaling() -> None:
-    sched = DiffusionSchedule.cosine(5)
-    x = np.array([0.3, -0.2, 0.7])
-    zero_eps = lambda a, k: np.zeros_like(a)
-    out = denoise_step(x, 1, sched, zero_eps, np.random.default_rng(0))
-    np.testing.assert_allclose(out, sched.scale[0] * x, atol=EXACT_TOL, rtol=0.0)
-
-
-def test_denoise_step_validates_k_and_shape() -> None:
-    sched = DiffusionSchedule.cosine(5)
-    x = np.zeros(3)
-    eps = lambda a, k: np.zeros_like(a)
-    with pytest.raises(ValueError, match="outside"):
-        denoise_step(x, 0, sched, eps, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="outside"):
-        denoise_step(x, 6, sched, eps, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="shape"):
-        denoise_step(x, 2, sched, lambda a, k: np.zeros(5), np.random.default_rng(0))
-
-
 def test_single_gaussian_noise_prediction_closed_form() -> None:
     # Unit target: diffused variance is exactly 1 at every level, so the
     # predicted noise reduces to sqrt(1 - frac) * x.
-    mix = GaussianMixture(np.array([1.0]), np.zeros((1, 3)), np.ones((1, 3)))
     sched = DiffusionSchedule.cosine(40)
-    predict = mixture_noise_prediction(mix, sched)
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((8, 3))
+    x = rng.standard_normal((2, 8, 3))  # two chains of 8 draws
     for k in (1, 20, 40):
-        expect = math.sqrt(1.0 - sched.signal_frac[k - 1]) * x
-        np.testing.assert_allclose(predict(x, k), expect, atol=1e-10, rtol=0.0)
+        frac = sched.signal_frac[k - 1]
+        eps = _mixture_eps(
+            x,
+            _log_weights(np.ones((2, 1))),
+            np.zeros((2, 1, 3)),
+            np.ones((2, 1, 3)),
+            np.full((2, 1), 3.0 * math.log(2.0 * math.pi)),
+            frac,
+        )
+        np.testing.assert_allclose(eps, math.sqrt(1.0 - frac) * x, atol=1e-10, rtol=0.0)
 
 
 def test_gaussian_mixture_validation() -> None:
@@ -273,12 +260,7 @@ def test_gaussian_mixture_validation() -> None:
 
 def run_chain(mix: GaussianMixture, n: int, seed: int, steps: int = 120) -> np.ndarray:
     sched = DiffusionSchedule.cosine(steps)
-    predict = mixture_noise_prediction(mix, sched)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, mix.means.shape[1]))
-    for k in range(steps, 0, -1):
-        x = denoise_step(x, k, sched, predict, rng)
-    return x
+    return sample_mixtures([mix], sched, n, [np.random.default_rng(seed)])[0]
 
 
 def test_chain_recovers_single_gaussian_mean() -> None:
@@ -413,31 +395,45 @@ def test_sample_many_validates_its_arguments() -> None:
         policy.sample_many([], instruction, 4, [])
 
 
+def frozen_chain(mix: GaussianMixture, sched: DiffusionSchedule, n: int, rng) -> np.ndarray:
+    """The scalar chain: a frozen denoise_step and noise prediction per step."""
+    predict = frozen.mixture_noise_prediction(mix, sched)
+    x = rng.standard_normal((n, mix.means.shape[1]))
+    for k in range(sched.steps, 0, -1):
+        x = frozen.denoise_step(x, k, sched, predict, rng)
+    return x
+
+
 @seed(20)
 @settings(max_examples=100, deadline=None)
 @given(
-    components=st.integers(1, 4),
-    dims=st.integers(1, 4),
-    n=st.integers(1, 30),
-    steps=st.integers(1, 30),
+    components=st.integers(1, 3),
+    dims=st.sampled_from((1, 3)),
+    n=st.integers(1, 29),
+    steps=st.integers(1, 40),
+    chains=st.integers(1, 4),
     data=st.data(),
 )
-def test_noise_prediction_equals_the_frozen_scalar_one(components, dims, n, steps, data):
+def test_sample_mixtures_equals_the_frozen_denoise_loop(components, dims, n, steps, chains, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    weights = rng.random(components)
-    if components > 1 and data.draw(st.booleans()):
-        weights[0] = 0.0  # a zero weight: its log weight is -inf
-    mix = GaussianMixture(
-        weights / weights.sum(),
-        rng.normal(size=(components, dims)),
-        rng.random((components, dims)) + 0.01,
-    )
+    mixes = []
+    for _ in range(chains):
+        weights = rng.random(components)
+        if components > 1 and data.draw(st.booleans()):
+            weights[0] = 0.0  # a zero weight: its log weight is -inf
+        mixes.append(
+            GaussianMixture(
+                weights / weights.sum(),
+                rng.normal(size=(components, dims)),
+                rng.random((components, dims)) + 0.01,
+            )
+        )
     sched = DiffusionSchedule.cosine(steps)
-    k = data.draw(st.integers(1, steps))
-    x = rng.normal(size=(n, dims))
-    ours, frozen = mixture_noise_prediction(mix, sched), frozen_noise_prediction(mix, sched)
-    assert np.array_equal(ours(x, k), frozen(x, k))
-    assert np.array_equal(ours(x[0], k), frozen(x[0], k))  # one action vector
+    seeds = rng.integers(0, 2**32, size=chains)
+    out = sample_mixtures(mixes, sched, n, [np.random.default_rng(s) for s in seeds])
+    assert out.shape == (chains, n, dims)
+    for row, mix, s in zip(out, mixes, seeds):
+        assert np.array_equal(row, frozen_chain(mix, sched, n, np.random.default_rng(s)))
 
 
 # ----------------------------------------------------------------- expert
