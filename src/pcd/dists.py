@@ -299,9 +299,10 @@ def contrastive_combine_multi(
     )
 
 
-def select_index(dist: CategoricalDist, cfg: DecodeConfig, rng: np.random.Generator) -> int:
-    """Pick one bin: the argmax under greedy, a categorical draw otherwise.
-    np.argmax breaks ties toward the lower index, the greedy tie-break."""
+def select_index(dist: CategoricalDist, cfg: DecodeConfig, rng: np.random.Generator | None) -> int:
+    """Pick one bin: the argmax under greedy, which draws nothing (rng may be
+    None), a categorical draw otherwise. np.argmax breaks ties toward the
+    lower index, the greedy tie-break."""
     if cfg.selection == "greedy":
         return int(np.argmax(dist.probs))
     cdf = np.cumsum(dist.probs)
@@ -310,7 +311,7 @@ def select_index(dist: CategoricalDist, cfg: DecodeConfig, rng: np.random.Genera
 
 
 def select_action(
-    dist: ActionDistribution, cfg: DecodeConfig, rng: np.random.Generator
+    dist: ActionDistribution, cfg: DecodeConfig, rng: np.random.Generator | None
 ) -> np.ndarray:
     """Return one action vector of bin centers, one entry per dimension."""
     out = np.empty(dist.m)

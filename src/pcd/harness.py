@@ -251,7 +251,7 @@ def _decode_autoregressive(
     obs_masked: Observation | None,
     instruction,
     decode_cfg: DecodeConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
 ) -> np.ndarray:
     # Each view is perceived once; its dimensions are then read off in turn.
     percept = policy.perceive(obs, instruction)
@@ -270,7 +270,7 @@ def _decode_from_samples(
     contrast: bool,
     kde_cfg: KdeConfig,
     decode_cfg: DecodeConfig,
-    rng_select: np.random.Generator,
+    rng_select: np.random.Generator | None,
 ) -> np.ndarray:
     """The action from one step's draws: one row per view, the original
     first, and the masked view second on the contrast arm."""
@@ -297,6 +297,11 @@ Request = tuple[list[Observation], list[tuple]]
 _LIVE_CAP = 64
 
 
+def _select_rng(seed: int, step: int, decode_cfg: DecodeConfig) -> np.random.Generator | None:
+    """The step's selection generator; greedy selection draws nothing."""
+    return substream(seed, "select", step) if decode_cfg.selection == "sample" else None
+
+
 def _decider(policy, instruction, seed: int, decode_cfg: DecodeConfig) -> Decide | None:
     """The inline per-step decision for the policy's kind, picked once per
     episode, or None for a sampler, whose draws the loop requests instead."""
@@ -304,7 +309,7 @@ def _decider(policy, instruction, seed: int, decode_cfg: DecodeConfig) -> Decide
         return lambda obs, obs_masked, scene, step: policy.act(scene)
     if isinstance(policy, SpuriousMixturePolicy):
         return lambda obs, obs_masked, scene, step: _decode_autoregressive(
-            policy, obs, obs_masked, instruction, decode_cfg, substream(seed, "select", step)
+            policy, obs, obs_masked, instruction, decode_cfg, _select_rng(seed, step, decode_cfg)
         )
     return None
 
@@ -349,7 +354,7 @@ def _play(
                 keys.append((seed, "policy_masked", step))
             draws = yield views, keys
             action = _decode_from_samples(
-                draws, contrast, cfg.kde, cfg.decode, substream(seed, "select", step)
+                draws, contrast, cfg.kde, cfg.decode, _select_rng(seed, step, cfg.decode)
             )
         else:
             action = decide(obs, obs_masked, scene, step)

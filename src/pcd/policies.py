@@ -303,34 +303,46 @@ class GaussianMixture:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    @classmethod
+    def _trusted(
+        cls, weights: np.ndarray, means: np.ndarray, sigmas: np.ndarray
+    ) -> GaussianMixture:
+        """A mixture on valid float64 arrays this package just built and
+        owns. It skips the checks and marks the arrays read-only."""
+        mix = object.__new__(cls)
+        for name, arr in (("weights", weights), ("means", means), ("sigmas", sigmas)):
+            arr.flags.writeable = False
+            object.__setattr__(mix, name, arr)
+        return mix
+
 
 def _mixture_eps(
     x: np.ndarray,
     log_w: np.ndarray,
     means: np.ndarray,
     variances: np.ndarray,
-    log_norm: np.ndarray,
-    frac: float,
+    half_log_norm: np.ndarray,
+    root: float,
 ) -> np.ndarray:
     """Predicted noise for C batches of actions, one mixture each.
 
-    x is (C, n, M); log_w (C, B), the diffused means and variances
-    (C, B, M) and log_norm, the sum over M of log(2*pi*variance), (C, B),
-    all at signal fraction frac. Each chain's arithmetic, and its order,
-    is the same as with C = 1, so batching chains changes no bit.
+    x is (M, C, n); log_w (B, C, 1); the diffused means and variances
+    (B, M, C, 1) and half_log_norm, half the sum over M of
+    log(2*pi*variance), (B, C, 1), all at one signal fraction frac; root
+    is sqrt(1 - frac). Every op runs along contiguous rows of n draws.
     """
-    diff = x[:, None, :, :] - means[:, :, None, :]  # (C, B, n, M)
-    var = variances[:, :, None, :]
-    log_resp = (
-        log_w[:, :, None]
-        - 0.5 * (diff**2 / var).sum(axis=3)
-        - 0.5 * log_norm[:, :, None]
-    )
-    log_resp -= log_resp.max(axis=1, keepdims=True)
+    diff = x - means  # (B, M, C, n)
+    sq = np.square(diff)
+    sq /= variances
+    log_resp = log_w - 0.5 * sq.sum(axis=1)  # (B, C, n)
+    log_resp -= half_log_norm
+    log_resp -= log_resp.max(axis=0)
     resp = np.exp(log_resp)
-    resp /= resp.sum(axis=1, keepdims=True)
-    score = (resp[:, :, :, None] * (-diff) / var).sum(axis=1)
-    return -math.sqrt(1.0 - frac) * score if frac < 1.0 else np.zeros_like(x)
+    resp /= resp.sum(axis=0)
+    # the score is minus this sum, and the noise minus root times the score
+    weighted = resp[:, None] * diff
+    weighted /= variances
+    return root * weighted.sum(axis=0)  # (M, C, n)
 
 
 def _log_weights(weights: np.ndarray) -> np.ndarray:
@@ -348,36 +360,40 @@ def sample_mixtures(
     The noise prediction is exact: at noise level k the diffused density
     is again a Gaussian mixture, with means sqrt(signal_frac)*mu and
     variances signal_frac*sigma^2 + (1 - signal_frac), and the predicted
-    noise follows from its score. The C chains step together through one
-    batched noise prediction, and each draws its noise from its own
-    generator in one call, in the order a step-by-step chain would (x0,
-    then one (n, M) block per step with sigma > 0, from step `steps` down
-    to 1). Row c does not depend on the other chains.
+    noise follows from its score. The C chains step together, each drawing
+    its noise from its own generator in one call, in the order a
+    step-by-step chain would (x0, then one (n, M) block per step with
+    sigma > 0, from step `steps` down to 1). Row c does not depend on the
+    other chains. The chain runs component-major, on a state of shape
+    (M, C, n), so its sums over the B components and the M dimensions add
+    whole slabs left to right. Below 8 terms numpy's row sum adds left to
+    right too, so for M <= 7 each draw has the one-chain loop's bits.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     if not mixes or len(mixes) != len(rngs):
         raise ValueError("need at least one view and one generator per view")
-    log_w = _log_weights(np.stack([mix.weights for mix in mixes]))  # (C, B)
-    # per-step tables, (S, C, B, M) and (S, C, B), indexed by k - 1
-    frac = schedule.signal_frac[:, None, None, None]
-    means = np.sqrt(frac) * np.stack([mix.means for mix in mixes])
-    variances = frac * np.stack([mix.sigmas for mix in mixes]) ** 2 + (1.0 - frac)
-    log_norm = np.log(2.0 * math.pi * variances).sum(axis=3)
-    noisy = schedule.sigma > 0.0
-    draws = (1 + int(noisy.sum()), n, means.shape[3])
+    # per-step tables (S, B, M, C, 1) and (S, B, C, 1), indexed by k - 1; log_w (B, C, 1)
+    frac = schedule.signal_frac[:, None, None, None, None]
+    means = np.sqrt(frac) * np.stack([mix.means for mix in mixes], axis=2)[..., None]
+    sigmas = np.stack([mix.sigmas for mix in mixes], axis=2)[..., None]
+    variances = frac * sigmas**2 + (1.0 - frac)
+    half_log_norm = 0.5 * np.log(2.0 * math.pi * variances).sum(axis=2)
+    log_w = _log_weights(np.stack([mix.weights for mix in mixes], axis=1))[..., None]
+    draws = (1 + int(np.count_nonzero(schedule.sigma > 0.0)), n, means.shape[2])
     noise = np.stack([rng.standard_normal(draws) for rng in rngs])  # (C, 1 + K, n, M)
-    x = noise[:, 0]
-    drawn = 1
-    for i in range(schedule.steps - 1, -1, -1):
-        eps = _mixture_eps(
-            x, log_w, means[i], variances[i], log_norm[i], schedule.signal_frac[i]
-        )
-        x = schedule.scale[i] * (x - schedule.noise_coef[i] * eps)
-        if noisy[i]:
-            x = x + schedule.sigma[i] * noise[:, drawn]
-            drawn += 1
-    return x
+    noise = np.ascontiguousarray(noise.transpose(1, 3, 0, 2))  # (1 + K, M, C, n)
+    x, later = noise[0], iter(noise[1:])  # no step rereads x, so it is updated in place
+    for i, f in reversed(list(enumerate(schedule.signal_frac))):
+        if f < 1.0:  # at signal fraction 1 the predicted noise is 0
+            eps = _mixture_eps(
+                x, log_w, means[i], variances[i], half_log_norm[i], math.sqrt(1.0 - f)
+            )
+            x = x - schedule.noise_coef[i] * eps
+        x *= schedule.scale[i]
+        if schedule.sigma[i] > 0.0:
+            x += schedule.sigma[i] * next(later)
+    return np.ascontiguousarray(x.transpose(1, 2, 0))
 
 
 class MixtureDiffusionPolicy:
@@ -403,14 +419,12 @@ class MixtureDiffusionPolicy:
     def target_mixture(self, obs: Observation, instruction: Instruction) -> GaussianMixture:
         gripper, target, light = perceive(obs, instruction)
         lam = self.params.lam
-        return GaussianMixture(
-            weights=np.array([1.0 - lam, lam]),
-            means=np.stack(
+        return GaussianMixture._trusted(
+            np.array([1.0 - lam, lam]),
+            np.stack(
                 [self._component_mean(gripper, target), self._component_mean(gripper, light)]
             ),
-            sigmas=np.stack(
-                [self._component_sigma(target), self._component_sigma(light)]
-            ),
+            np.stack([self._component_sigma(target), self._component_sigma(light)]),
         )
 
     def _component_mean(

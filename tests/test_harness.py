@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import statistics
 from dataclasses import fields, replace
 from pathlib import Path
@@ -335,6 +334,32 @@ def test_sample_only_policy_replays_the_batched_sampler() -> None:
             assert rec.error is None
             plain = run_episode(SampleOnly(policy), world, cfg, seed=ep_seed)
             assert plain.replay_key() == rec.replay_key()
+
+
+@pytest.mark.parametrize("make_cfg", [mixture_cfg, diffusion_cfg])
+@pytest.mark.parametrize("selection", ["greedy", "sample"])
+def test_select_streams_are_built_only_for_sampled_selection(make_cfg, selection, monkeypatch):
+    # greedy selection draws nothing, so its steps build no "select" stream;
+    # the records are those of a loop that builds one on every step
+    cfg = make_cfg(method="pcd", trials=2)
+    cfg = replace(cfg, decode=replace(cfg.decode, selection=selection))
+    with mock.patch.object(
+        pcd.harness, "_select_rng", lambda seed, step, decode: substream(seed, "select", step)
+    ):
+        always = evaluate_batch(cfg, workers=1)
+    built = []
+
+    def spy(seed, *path):
+        if path[0] == "select":
+            built.append((seed, *path))
+        return substream(seed, *path)
+
+    monkeypatch.setattr(pcd.harness, "substream", spy)
+    result = evaluate_batch(cfg, workers=1)
+    assert result.n_errors == 0
+    assert [r.replay_key() for r in result.records] == [r.replay_key() for r in always.records]
+    per_step = [(r.seed, "select", step) for r in result.records for step in range(r.total_steps)]
+    assert sorted(built) == (sorted(per_step) if selection == "sample" else [])
 
 
 # ------------------------------------------------------------- lockstep

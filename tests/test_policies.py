@@ -230,20 +230,22 @@ def test_schedule_field_validation() -> None:
 def test_single_gaussian_noise_prediction_closed_form() -> None:
     # Unit target: diffused variance is exactly 1 at every level, so the
     # predicted noise reduces to sqrt(1 - frac) * x.
+    # The kernel is component-major: x is (M, C, n), the tables (B, M, C, 1)
+    # and (B, C, 1).
     sched = DiffusionSchedule.cosine(40)
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((2, 8, 3))  # two chains of 8 draws
+    x = rng.standard_normal((3, 2, 8))  # two chains of 8 draws
     for k in (1, 20, 40):
-        frac = sched.signal_frac[k - 1]
+        root = math.sqrt(1.0 - sched.signal_frac[k - 1])
         eps = _mixture_eps(
             x,
-            _log_weights(np.ones((2, 1))),
-            np.zeros((2, 1, 3)),
-            np.ones((2, 1, 3)),
-            np.full((2, 1), 3.0 * math.log(2.0 * math.pi)),
-            frac,
+            _log_weights(np.ones((1, 2, 1))),
+            np.zeros((1, 3, 2, 1)),
+            np.ones((1, 3, 2, 1)),
+            np.full((1, 2, 1), 1.5 * math.log(2.0 * math.pi)),
+            root,
         )
-        np.testing.assert_allclose(eps, math.sqrt(1.0 - frac) * x, atol=1e-10, rtol=0.0)
+        np.testing.assert_allclose(eps, root * x, atol=1e-10, rtol=0.0)
 
 
 def test_gaussian_mixture_validation() -> None:
@@ -253,6 +255,25 @@ def test_gaussian_mixture_validation() -> None:
         GaussianMixture(np.array([1.0]), np.zeros((1, 3)), np.zeros((1, 3)))
     with pytest.raises(ValueError, match="shapes"):
         GaussianMixture(np.array([1.0]), np.zeros((2, 3)), np.ones((2, 3)))
+
+
+def test_trusted_mixture_equals_the_checked_constructor() -> None:
+    instruction, views = chain_views()
+    for lam in (0.0, 0.35, 1.0):
+        policy = MixtureDiffusionPolicy(SpuriousMixtureParams(lam=lam))
+        for view in views:
+            mix = policy.target_mixture(view, instruction)
+            checked = GaussianMixture(mix.weights, mix.means, mix.sigmas)
+            fresh = [np.array(a) for a in (mix.weights, mix.means, mix.sigmas)]
+            trusted = GaussianMixture._trusted(*fresh)
+            for name, arr in zip(("weights", "means", "sigmas"), fresh):
+                assert getattr(trusted, name) is arr and not arr.flags.writeable
+                for built in (mix, checked):
+                    got = getattr(built, name)
+                    assert np.array_equal(got, arr) and got.dtype == arr.dtype == np.float64
+                    assert not got.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                mix.means[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------- sampler
@@ -404,11 +425,33 @@ def frozen_chain(mix: GaussianMixture, sched: DiffusionSchedule, n: int, rng) ->
     return x
 
 
+def random_mixture(rng: np.random.Generator, components: int, dims: int, zero: bool):
+    weights = rng.random(components)
+    if components > 1 and zero:
+        weights[0] = 0.0  # a zero weight: its log weight is -inf
+    return GaussianMixture(
+        weights / weights.sum(),
+        rng.normal(size=(components, dims)),
+        rng.random((components, dims)) + 0.01,
+    )
+
+
+def assert_chains_equal_the_frozen_loop(mixes, steps: int, n: int, seeds) -> None:
+    sched = DiffusionSchedule.cosine(steps)
+    out = sample_mixtures(mixes, sched, n, [np.random.default_rng(s) for s in seeds])
+    assert out.shape == (len(mixes), n, mixes[0].means.shape[1])
+    assert out.flags.c_contiguous
+    for row, mix, s in zip(out, mixes, seeds):
+        assert np.array_equal(row, frozen_chain(mix, sched, n, np.random.default_rng(s)))
+
+
+# dims 1-7: below 8 terms numpy's row sum adds left to right, as the
+# component-major chain does, so the bits hold
 @seed(20)
 @settings(max_examples=100, deadline=None)
 @given(
     components=st.integers(1, 3),
-    dims=st.sampled_from((1, 3)),
+    dims=st.integers(1, 7),
     n=st.integers(1, 29),
     steps=st.integers(1, 40),
     chains=st.integers(1, 4),
@@ -416,24 +459,21 @@ def frozen_chain(mix: GaussianMixture, sched: DiffusionSchedule, n: int, rng) ->
 )
 def test_sample_mixtures_equals_the_frozen_denoise_loop(components, dims, n, steps, chains, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    mixes = []
-    for _ in range(chains):
-        weights = rng.random(components)
-        if components > 1 and data.draw(st.booleans()):
-            weights[0] = 0.0  # a zero weight: its log weight is -inf
-        mixes.append(
-            GaussianMixture(
-                weights / weights.sum(),
-                rng.normal(size=(components, dims)),
-                rng.random((components, dims)) + 0.01,
-            )
-        )
-    sched = DiffusionSchedule.cosine(steps)
-    seeds = rng.integers(0, 2**32, size=chains)
-    out = sample_mixtures(mixes, sched, n, [np.random.default_rng(s) for s in seeds])
-    assert out.shape == (chains, n, dims)
-    for row, mix, s in zip(out, mixes, seeds):
-        assert np.array_equal(row, frozen_chain(mix, sched, n, np.random.default_rng(s)))
+    mixes = [
+        random_mixture(rng, components, dims, data.draw(st.booleans())) for _ in range(chains)
+    ]
+    assert_chains_equal_the_frozen_loop(mixes, steps, n, rng.integers(0, 2**32, size=chains))
+
+
+@pytest.mark.parametrize("chains", [8, 64, 128])
+def test_wide_sample_mixtures_equals_the_frozen_denoise_loop(chains: int) -> None:
+    # the widths of lockstep calls: mixed component counts cannot share one
+    # call, so each width runs once per count, with zero weights mixed in
+    rng = np.random.default_rng(chains)
+    for components in (1, 2, 3):
+        mixes = [random_mixture(rng, components, 3, c % 3 == 0) for c in range(chains)]
+        steps, n = int(rng.integers(2, 6)), int(rng.integers(1, 25))
+        assert_chains_equal_the_frozen_loop(mixes, steps, n, rng.integers(0, 2**32, size=chains))
 
 
 # ----------------------------------------------------------------- expert
