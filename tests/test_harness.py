@@ -343,9 +343,8 @@ def test_select_streams_are_built_only_for_sampled_selection(make_cfg, selection
     # the records are those of a loop that builds one on every step
     cfg = make_cfg(method="pcd", trials=2)
     cfg = replace(cfg, decode=replace(cfg.decode, selection=selection))
-    with mock.patch.object(
-        pcd.harness, "_select_rng", lambda seed, step, decode: substream(seed, "select", step)
-    ):
+    with monkeypatch.context() as patch:
+        patch.setattr(pcd.harness, "_select_rng", lambda s, step, _: substream(s, "select", step))
         always = evaluate_batch(cfg, workers=1)
     built = []
 
