@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import reduce
 from pathlib import Path
@@ -37,8 +38,8 @@ class PolicyConfig:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if not (0.0 <= self.lam <= 1.0):
             raise ValueError("lambda must lie in [0, 1]")
-        if not (self.sharpness > 0.0):
-            raise ValueError("sharpness must be > 0")
+        if not (0.0 < self.sharpness < math.inf):
+            raise ValueError("sharpness must be finite and > 0")
         if self.bins < 2:
             raise ValueError("bins must be >= 2")
         if self.diffusion_steps < 1:
@@ -186,13 +187,16 @@ def _leaf(tree: dict[str, Any], path: str, kinds: tuple[type, ...]) -> Any:
 
     JSON has one number type, so a float field takes an integer too; true
     and false are not numbers, though Python's bool is an int. Nothing is
-    coerced.
+    coerced. Python's JSON reader turns Infinity, NaN and 1e999 into
+    floats, and argparse does the same with "inf"; no field takes them.
     """
     value = reduce(dict.__getitem__, path.split("."), tree)
     admitted = kinds + (int,) if float in kinds else kinds
     if isinstance(value, bool) != (bool in kinds) or not isinstance(value, admitted):
         expected = " or ".join(_JSON_NAMES[k] for k in kinds)
         raise ValueError(f"{path} must be {expected}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{path} must be a finite number, got {value!r}")
     return value
 
 

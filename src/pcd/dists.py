@@ -9,8 +9,10 @@ masked-observation counterpart, raised to a strength exponent.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -98,22 +100,6 @@ class CategoricalDist:
 
 
 @dataclass(frozen=True)
-class ActionDistribution:
-    """Per-dimension marginals; the joint is their product."""
-
-    dims: tuple[CategoricalDist, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.dims) < 1:
-            raise ValueError("need at least one action dimension")
-        object.__setattr__(self, "dims", tuple(self.dims))
-
-    @property
-    def m(self) -> int:
-        return len(self.dims)
-
-
-@dataclass(frozen=True)
 class KdeConfig:
     """Settings for sample-to-categorical conversion.
 
@@ -127,17 +113,17 @@ class KdeConfig:
     support_pad: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be positive")
+        if self.n_samples < 2:
+            raise ValueError("n_samples must be at least 2, the KDE's minimum per view")
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "scott":
                 raise ValueError(f"unknown bandwidth rule {self.bandwidth!r}")
-        elif not (float(self.bandwidth) > 0.0):
-            raise ValueError("fixed bandwidth must be > 0")
+        elif not (math.isfinite(self.bandwidth) and self.bandwidth > 0.0):
+            raise ValueError(f"fixed bandwidth must be finite and > 0, got {self.bandwidth!r}")
         if self.grid_count < 16:
             raise ValueError("grid_count must be at least 16")
-        if self.support_pad < 0.0:
-            raise ValueError("support_pad must be >= 0")
+        if not (0.0 <= self.support_pad < math.inf):
+            raise ValueError("support_pad must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -149,8 +135,8 @@ class DecodeConfig:
     selection: str = "greedy"
 
     def __post_init__(self) -> None:
-        if not (self.alpha >= 0.0):
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not (0.0 < self.prob_floor <= 1e-3):
             raise ValueError("prob_floor must lie in (0, 1e-3]")
         if self.selection not in ("greedy", "sample"):
@@ -196,19 +182,16 @@ def _kde_rows(
 
 
 def _shared_grids(
-    rows_a: np.ndarray,
-    rows_b: np.ndarray,
-    bw_a: np.ndarray,
-    bw_b: np.ndarray,
-    config: KdeConfig,
+    rows: Sequence[np.ndarray], bandwidths: Sequence[np.ndarray], config: KdeConfig
 ) -> list[BinGrid]:
-    """The shared support of each pair of rows of two sample matrices with M
-    rows each: the pair's combined range, padded on each side by
-    support_pad times the larger of the two bandwidths, so the margin holds
-    for either branch. Both contrast branches are evaluated on this grid."""
-    pad = config.support_pad * np.maximum(bw_a, bw_b)
-    lo = np.minimum(rows_a.min(axis=1), rows_b.min(axis=1)) - pad
-    hi = np.maximum(rows_a.max(axis=1), rows_b.max(axis=1)) + pad
+    """The shared support of each dimension across the views' (M, N_v)
+    sample matrices: the dimension's range over every view, padded on each
+    side by support_pad times the largest of the views' bandwidths, so the
+    margin holds for each view. Every view is evaluated on this grid. Min
+    and max are exact, so the grid does not depend on the views' order."""
+    pad = config.support_pad * functools.reduce(np.maximum, bandwidths)
+    lo = functools.reduce(np.minimum, [r.min(axis=1) for r in rows]) - pad
+    hi = functools.reduce(np.maximum, [r.max(axis=1) for r in rows]) + pad
     flat = hi <= lo  # all samples identical and pad 0
     lo = np.where(flat, lo - BANDWIDTH_FLOOR, lo)
     hi = np.where(flat, hi + BANDWIDTH_FLOOR, hi)
@@ -216,52 +199,37 @@ def _shared_grids(
 
 
 def kde_estimate_multi(
-    samples: np.ndarray, config: KdeConfig, samples_masked: np.ndarray
-) -> tuple[ActionDistribution, ActionDistribution]:
-    """Per-dimension KDE for both contrast branches on shared grids.
+    views: Sequence[np.ndarray], config: KdeConfig
+) -> tuple[tuple[CategoricalDist, ...], ...]:
+    """Per-dimension KDE of each view's draws on grids all views share.
 
-    samples and samples_masked are (N, M) matrices of action draws under
-    the original and masked observation. Dimensions are treated as
-    independent; each gets one shared grid built from both columns, and
-    each branch's probs[k] is proportional to sum_j K((center_k -
-    sample_j) / bandwidth), all dimensions at once.
+    views holds one (N_v, M) matrix of action draws per view; a sampler's
+    (V, n, M) reply iterates that way, and N_v may differ between views.
+    Dimensions are treated as independent: each gets one grid built from
+    its column in every view, and view v's probs[k] is proportional to
+    sum_j K((center_k - sample_j) / bandwidth), all dimensions at once.
+    The result holds one tuple of M distributions per view.
     """
-    orig = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    masked = np.atleast_2d(np.asarray(samples_masked, dtype=np.float64))
-    if orig.shape[1] != masked.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: {orig.shape[1]} vs {masked.shape[1]} action dims"
-        )
-    if orig.shape[0] < 2 or masked.shape[0] < 2:
-        raise ValueError("need at least 2 samples per branch")
-    finite = np.isfinite(orig).all(axis=0) & np.isfinite(masked).all(axis=0)
+    draws = [np.atleast_2d(np.asarray(x, dtype=np.float64)) for x in views]
+    if not draws:
+        raise ValueError("need at least one view")
+    m = draws[0].shape[1]
+    for x in draws:
+        if x.shape[0] < 2:
+            raise ValueError("need at least 2 samples per branch")
+        if x.shape[1] != m:
+            raise ValueError(f"dimension mismatch: {m} vs {x.shape[1]} action dims")
+    if m < 1:
+        raise ValueError("need at least one action dimension")
+    finite = functools.reduce(np.logical_and, [np.isfinite(x).all(axis=0) for x in draws])
     if not finite.all():
         raise ValueError(f"non-finite samples in action dimension {int(np.argmin(finite))}")
     # One row per dimension, contiguous: reductions along a strided axis
     # may round differently from the same reduction over one column.
-    rows_o = np.ascontiguousarray(orig.T)
-    rows_m = np.ascontiguousarray(masked.T)
-    bw_o = _resolve_bandwidths(rows_o, config)
-    bw_m = _resolve_bandwidths(rows_m, config)
-    grids = _shared_grids(rows_o, rows_m, bw_o, bw_m, config)
-    return (
-        ActionDistribution(_kde_rows(rows_o, grids, bw_o)),
-        ActionDistribution(_kde_rows(rows_m, grids, bw_m)),
-    )
-
-
-def kde_estimate_one(samples: np.ndarray, config: KdeConfig) -> ActionDistribution:
-    """One branch's per-dimension KDE: kde_estimate_multi(samples, config,
-    samples)[0], without evaluating the copy it would throw away."""
-    x = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    if x.shape[0] < 2:
-        raise ValueError("need at least 2 samples per branch")
-    finite = np.isfinite(x).all(axis=0)
-    if not finite.all():
-        raise ValueError(f"non-finite samples in action dimension {int(np.argmin(finite))}")
-    rows = np.ascontiguousarray(x.T)
-    bw = _resolve_bandwidths(rows, config)
-    return ActionDistribution(_kde_rows(rows, _shared_grids(rows, rows, bw, bw, config), bw))
+    rows = [np.ascontiguousarray(x.T) for x in draws]
+    bandwidths = [_resolve_bandwidths(r, config) for r in rows]
+    grids = _shared_grids(rows, bandwidths, config)
+    return tuple(_kde_rows(r, grids, bw) for r, bw in zip(rows, bandwidths))
 
 
 def contrastive_combine(
@@ -287,18 +255,6 @@ def contrastive_combine(
     return CategoricalDist._trusted(p.grid, w / w.sum())
 
 
-def contrastive_combine_multi(
-    p: ActionDistribution, p_masked: ActionDistribution, cfg: DecodeConfig
-) -> ActionDistribution:
-    if p.m != p_masked.m:
-        raise ValueError(f"dimension count mismatch: {p.m} vs {p_masked.m}")
-    return ActionDistribution(
-        tuple(
-            contrastive_combine(d, dm, cfg) for d, dm in zip(p.dims, p_masked.dims)
-        )
-    )
-
-
 def select_index(dist: CategoricalDist, cfg: DecodeConfig, rng: np.random.Generator | None) -> int:
     """Pick one bin: the argmax under greedy, which draws nothing (rng may be
     None), a categorical draw otherwise. np.argmax breaks ties toward the
@@ -308,13 +264,3 @@ def select_index(dist: CategoricalDist, cfg: DecodeConfig, rng: np.random.Genera
     cdf = np.cumsum(dist.probs)
     idx = int(np.searchsorted(cdf, rng.random(), side="right"))
     return min(idx, dist.grid.count - 1)
-
-
-def select_action(
-    dist: ActionDistribution, cfg: DecodeConfig, rng: np.random.Generator | None
-) -> np.ndarray:
-    """Return one action vector of bin centers, one entry per dimension."""
-    out = np.empty(dist.m)
-    for t, d in enumerate(dist.dims):
-        out[t] = d.grid.centers()[select_index(d, cfg, rng)]
-    return out

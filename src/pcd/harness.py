@@ -23,13 +23,11 @@ import numpy as np
 
 from .config import MaskConfig, PcdRunConfig, PolicyConfig, config_hash, to_dict
 from .dists import (
+    CategoricalDist,
     DecodeConfig,
     KdeConfig,
     contrastive_combine,
-    contrastive_combine_multi,
     kde_estimate_multi,
-    kde_estimate_one,
-    select_action,
     select_index,
 )
 from .masking import (
@@ -245,41 +243,25 @@ class _MaskPipeline:
 # -- decoding ----------------------------------------------------------------
 
 
-def _decode_autoregressive(
-    policy: SpuriousMixturePolicy,
-    obs: Observation,
-    obs_masked: Observation | None,
-    instruction,
-    decode_cfg: DecodeConfig,
+def _decode(
+    dims: Sequence[CategoricalDist],
+    dims_masked: Sequence[CategoricalDist] | None,
+    cfg: DecodeConfig,
     rng: np.random.Generator | None,
 ) -> np.ndarray:
-    # Each view is perceived once; its dimensions are then read off in turn.
-    percept = policy.perceive(obs, instruction)
-    percept_masked = None if obs_masked is None else policy.perceive(obs_masked, instruction)
-    action = np.empty(policy.m)
-    for t in range(policy.m):
-        dist = policy.predict_from(percept, t)
-        if percept_masked is not None:
-            dist = contrastive_combine(dist, policy.predict_from(percept_masked, t), decode_cfg)
-        action[t] = dist.grid.centers()[select_index(dist, decode_cfg, rng)]
+    """One action from one distribution per dimension, for either policy
+    family: dimension by dimension, in order, the contrast against the
+    masked view's distribution when there is one, then one selected bin,
+    whose center is the action's entry. A sampled selection draws from rng
+    once per dimension, in dimension order."""
+    if dims_masked is not None and len(dims_masked) != len(dims):
+        raise ValueError(f"dimension count mismatch: {len(dims)} vs {len(dims_masked)}")
+    action = np.empty(len(dims))
+    for t, dist in enumerate(dims):
+        if dims_masked is not None:
+            dist = contrastive_combine(dist, dims_masked[t], cfg)
+        action[t] = dist.grid.centers()[select_index(dist, cfg, rng)]
     return action
-
-
-def _decode_from_samples(
-    draws: np.ndarray,
-    contrast: bool,
-    kde_cfg: KdeConfig,
-    decode_cfg: DecodeConfig,
-    rng_select: np.random.Generator | None,
-) -> np.ndarray:
-    """The action from one step's draws: one row per view, the original
-    first, and the masked view second on the contrast arm."""
-    if contrast:
-        orig, masked = kde_estimate_multi(draws[0], kde_cfg, draws[1])
-        dist = contrastive_combine_multi(orig, masked, decode_cfg)
-    else:
-        dist = kde_estimate_one(draws[0], kde_cfg)
-    return select_action(dist, decode_cfg, rng_select)
 
 
 # -- episode runner ----------------------------------------------------------
@@ -308,8 +290,17 @@ def _decider(policy, instruction, seed: int, decode_cfg: DecodeConfig) -> Decide
     if isinstance(policy, ScriptedExpert):
         return lambda obs, obs_masked, scene, step: policy.act(scene)
     if isinstance(policy, SpuriousMixturePolicy):
-        return lambda obs, obs_masked, scene, step: _decode_autoregressive(
-            policy, obs, obs_masked, instruction, decode_cfg, _select_rng(seed, step, decode_cfg)
+
+        def dims(view: Observation) -> list[CategoricalDist]:
+            # Each view is perceived once; its dimensions are then read off.
+            percept = policy.perceive(view, instruction)
+            return [policy.predict_from(percept, t) for t in range(policy.m)]
+
+        return lambda obs, obs_masked, scene, step: _decode(
+            dims(obs),
+            None if obs_masked is None else dims(obs_masked),
+            decode_cfg,
+            _select_rng(seed, step, decode_cfg),
         )
     return None
 
@@ -353,9 +344,9 @@ def _play(
                 views.append(obs_masked)
                 keys.append((seed, "policy_masked", step))
             draws = yield views, keys
-            action = _decode_from_samples(
-                draws, contrast, cfg.kde, cfg.decode, _select_rng(seed, step, cfg.decode)
-            )
+            dims = kde_estimate_multi(draws, cfg.kde)
+            rng = _select_rng(seed, step, cfg.decode)
+            action = _decode(dims[0], dims[1] if contrast else None, cfg.decode, rng)
         else:
             action = decide(obs, obs_masked, scene, step)
         next_scene, result = world.step(scene, action)
@@ -585,8 +576,10 @@ def _with_axis_value(cfg: PcdRunConfig, axis: str, value) -> PcdRunConfig:
 
 
 def sweep(cfg: PcdRunConfig, axis: str, values: Sequence) -> list[tuple[Any, BatchResult]]:
-    """Evaluate cfg once per value of one axis; all rows share seeds."""
-    return [(v, evaluate_batch(_with_axis_value(cfg, axis, v))) for v in values]
+    """Evaluate cfg once per value of one axis; all rows share seeds. Every
+    row's config is built, and so checked, before the first row runs."""
+    rows = [_with_axis_value(cfg, axis, v) for v in values]
+    return [(v, evaluate_batch(row)) for v, row in zip(values, rows)]
 
 
 def sweep_to_csv(axis: str, rows: Sequence[tuple[Any, BatchResult]], path: str | Path) -> None:
@@ -657,39 +650,6 @@ def append_results(
     with open(path, "a", encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
-def load_results(path: str | Path) -> list[dict]:
-    """Read result rows back; malformed lines fail with their line number."""
-    rows: list[dict] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"malformed JSONL at {path}:{lineno}: {exc}") from exc
-            if not isinstance(row, dict) or set(RESULT_FIELDS) - set(row):
-                raise ValueError(f"malformed JSONL at {path}:{lineno}: missing fields")
-            rows.append(row)
-    return rows
-
-
-def batch_from_row(row: dict) -> BatchResult:
-    """Rebuild the scalar view of a saved batch (records are not stored).
-
-    Rows written before n_errors was stored load with n_errors = 0.
-    """
-    return BatchResult(
-        n_trials=row["trials"],
-        rate_completion=row["rate_completion"],
-        rate_maxstep=row["rate_maxstep"],
-        mean_ms=row["mean_ms"],
-        config_hash=row["config_hash"],
-        records=None,
-        n_errors=row.get("n_errors", 0),
-    )
 
 
 # -- statistics ----------------------------------------------------------------

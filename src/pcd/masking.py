@@ -141,6 +141,8 @@ def _shift_bitmap(bitmap: np.ndarray, dx: int, dy: int) -> np.ndarray:
     """Translate with zero fill (no wrap-around)."""
     out = np.zeros_like(bitmap)
     h, w = bitmap.shape
+    if abs(dx) >= w or abs(dy) >= h:
+        return out  # shifted wholly off the raster
     src_y = slice(max(0, -dy), min(h, h - dy))
     src_x = slice(max(0, -dx), min(w, w - dx))
     dst_y = slice(max(0, dy), min(h, h + dy))

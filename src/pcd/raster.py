@@ -64,11 +64,6 @@ class Observation:
     def width(self) -> int:
         return self.planes.shape[2]
 
-    def same_pixels(self, other: "Observation") -> bool:
-        return self.planes.shape == other.planes.shape and bool(
-            np.array_equal(self.planes, other.planes)
-        )
-
 
 @functools.lru_cache(maxsize=16)
 def cell_centers(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:

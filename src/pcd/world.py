@@ -129,7 +129,7 @@ class ShiftSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "spatial", "brightness", "distractors", "texture"):
             raise ValueError(f"unknown shift variant {self.kind!r}")
-        if abs(self.brightness_offset) > 0.5:
+        if not abs(self.brightness_offset) <= 0.5:
             raise ValueError("brightness offset must keep channels clampable to [0,1]")
         if self.distractor_count < 0:
             raise ValueError("distractor_count must be >= 0")

@@ -20,26 +20,15 @@ from scipy import ndimage
 from pcd.config import PcdRunConfig
 from pcd.dists import (
     BANDWIDTH_FLOOR,
-    ActionDistribution,
     BinGrid,
     CategoricalDist,
     DecodeConfig,
     KdeConfig,
     contrastive_combine,
-    contrastive_combine_multi,
     gaussian_kernel,
-    kde_estimate_multi,
-    kde_estimate_one,
-    select_action,
     select_index,
 )
-from pcd.harness import (
-    EpisodeRecord,
-    Observer,
-    StepLog,
-    _decode_autoregressive,
-    _MaskPipeline,
-)
+from pcd.harness import EpisodeRecord, Observer, StepLog, _MaskPipeline
 from pcd.masking import (
     MATCH_RADIUS_CELLS,
     OBJECT_MASS_EPS,
@@ -199,8 +188,9 @@ def kde_grid(samples_a: np.ndarray, samples_b: np.ndarray, config: KdeConfig) ->
 
 def kde_estimate_multi_columns(
     samples: np.ndarray, config: KdeConfig, samples_masked: np.ndarray
-) -> tuple[ActionDistribution, ActionDistribution]:
-    """Per-dimension KDE for both contrast branches, one column at a time."""
+) -> tuple[tuple[CategoricalDist, ...], tuple[CategoricalDist, ...]]:
+    """Per-dimension KDE for both contrast branches, one column at a time.
+    The plain arm's KDE is the first branch of (samples, config, samples)."""
     orig = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     masked = np.atleast_2d(np.asarray(samples_masked, dtype=np.float64))
     if orig.shape[1] != masked.shape[1]:
@@ -219,7 +209,7 @@ def kde_estimate_multi_columns(
         grid = kde_grid(col_o, col_m, config)
         dims_o.append(kde_estimate(col_o, grid, _resolve_bandwidth(col_o, config)))
         dims_m.append(kde_estimate(col_m, grid, _resolve_bandwidth(col_m, config)))
-    return ActionDistribution(tuple(dims_o)), ActionDistribution(tuple(dims_m))
+    return tuple(dims_o), tuple(dims_m)
 
 
 # -- tracking: a full-raster bitmap and a centroid per component ---------------
@@ -405,9 +395,33 @@ def render(world: World, scene: Scene) -> Observation:
 
 # -- the serial episode loop: one episode, one sampler call per step --------
 #
-# Verbatim copies of the harness's serial runner, taken before the step loop
-# became a generator that lockstep evaluation drives. `_decode_autoregressive`
-# and `_MaskPipeline` are the package's own; their parts have frozen copies above.
+# Copies of the harness's serial runner, taken before the step loop became a
+# generator that lockstep evaluation drives, with each step's decode made of
+# the frozen parts above. `_MaskPipeline` is the package's own; its parts have
+# frozen copies above.
+
+
+def select_action(
+    dims: tuple[CategoricalDist, ...], cfg: DecodeConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """Return one action vector of bin centers, one entry per dimension."""
+    out = np.empty(len(dims))
+    for t, d in enumerate(dims):
+        out[t] = d.grid.centers()[select_index(d, cfg, rng)]
+    return out
+
+
+def decode_draws(
+    draws: np.ndarray, kde_cfg: KdeConfig, decode_cfg: DecodeConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """The action from one step's draws: one (n, m) block per view, the
+    original first and the masked view, if any, second."""
+    if len(draws) == 1:
+        dims, _ = kde_estimate_multi_columns(draws[0], kde_cfg, draws[0])
+    else:
+        orig, masked = kde_estimate_multi_columns(draws[0], kde_cfg, draws[1])
+        dims = tuple(contrastive_combine(d, dm, decode_cfg) for d, dm in zip(orig, masked))
+    return select_action(dims, decode_cfg, rng)
 
 
 def _decode_from_samples(
@@ -427,12 +441,7 @@ def _decode_from_samples(
         views.append(obs_masked)
         rngs.append(substream(seed, "policy_masked", step))
     draws = sample_many(views, instruction, kde_cfg.n_samples, rngs)
-    if obs_masked is None:
-        dist = kde_estimate_one(draws[0], kde_cfg)
-    else:
-        orig, masked = kde_estimate_multi(draws[0], kde_cfg, draws[1])
-        dist = contrastive_combine_multi(orig, masked, decode_cfg)
-    return select_action(dist, decode_cfg, rng_select)
+    return decode_draws(draws, kde_cfg, decode_cfg, rng_select)
 
 
 Decide = Callable[[Observation, Observation | None, Scene, int], np.ndarray]
@@ -445,7 +454,7 @@ def _decider(
     if isinstance(policy, ScriptedExpert):
         return lambda obs, obs_masked, scene, step: policy.act(scene)
     if isinstance(policy, SpuriousMixturePolicy):
-        return lambda obs, obs_masked, scene, step: _decode_autoregressive(
+        return lambda obs, obs_masked, scene, step: decode_autoregressive(
             policy, obs, obs_masked, instruction, decode_cfg, substream(seed, "select", step)
         )
     # A sampler needs only `sample`; `sample_many` is its optional batched

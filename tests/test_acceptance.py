@@ -24,7 +24,7 @@ from pcd.dists import (
     DecodeConfig,
     KdeConfig,
     contrastive_combine,
-    kde_estimate_one,
+    kde_estimate_multi,
 )
 from pcd.harness import (
     BatchResult,
@@ -202,7 +202,7 @@ def test_criterion_03_kde_matches_closed_form_mixture() -> None:
         else:
             bandwidth = float(rng.uniform(0.02, 0.3))
             spec = bandwidth
-        dist = kde_estimate_one(samples[:, None], KdeConfig(bandwidth=spec)).dims[0]
+        [[dist]] = kde_estimate_multi([samples[:, None]], KdeConfig(bandwidth=spec))
         grid, probs = dist.grid, dist.probs
         density = norm.pdf(
             grid.centers()[:, None], loc=samples[None, :], scale=bandwidth

@@ -8,12 +8,17 @@ kernels. On such a host one full-block run per workload serves both
 tests: its block starts with the two seeds a `--block 2` run covers, and
 it makes the same checks on them. Elsewhere the smoke test runs
 `--block 2` and the digest test is skipped.
+
+Those are single passes on seed 0. A timed run makes several passes over
+a block of whichever seeds it is given, and checks that every pass
+replays the first; the multi-pass test runs that on seed 1.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,17 +42,10 @@ def numpy_dispatch() -> list[str]:
     return list(__cpu_dispatch__)
 
 
-@functools.lru_cache(maxsize=None)
-def run_bench(workload: str, *extra: str) -> subprocess.CompletedProcess:
+def bench(*argv: str) -> subprocess.CompletedProcess:
+    """A clean bench/run.py run: exit 0, correct, no failed episode."""
     proc = subprocess.run(
-        [
-            sys.executable, "bench/run.py",
-            "--workload", workload,
-            "--seed", "0",
-            "--seconds", "0",
-            "--trace", "0",
-            *extra,
-        ],
+        [sys.executable, "bench/run.py", *argv],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -58,6 +56,11 @@ def run_bench(workload: str, *extra: str) -> subprocess.CompletedProcess:
     assert result["correct"] is True
     assert result["failed"] == 0
     return proc
+
+
+@functools.lru_cache(maxsize=None)
+def run_bench(workload: str, *extra: str) -> subprocess.CompletedProcess:
+    return bench("--workload", workload, "--seed", "0", "--seconds", "0", "--trace", "0", *extra)
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -77,3 +80,13 @@ def test_bench_workload_matches_reference_digests(workload: str) -> None:
         pytest.skip(reason)
     proc = run_bench(workload)
     assert "reference checked" in proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_bench_workload_replays_over_several_passes(workload: str) -> None:
+    proc = bench(
+        "--workload", workload, "--seed", "1", "--block", "2", "--seconds", "1", "--trace", "0"
+    )
+    passes = re.search(r" passes=(\d+) ", proc.stdout)
+    assert passes is not None, proc.stdout[-2000:]
+    assert int(passes.group(1)) >= 2

@@ -12,7 +12,7 @@ import pcd.cli
 import pcd.harness
 from pcd.cli import main
 from pcd.config import from_dict
-from pcd.harness import evaluate_batch, load_results
+from pcd.harness import evaluate_batch
 
 
 def run_cli(capsys, *argv: str) -> str:
@@ -63,7 +63,7 @@ def test_run_appends_results(capsys, tmp_path) -> None:
     out_file = tmp_path / "rows.jsonl"
     run_cli(capsys, *FAST_RUN, "--method", "baseline", "--out", str(out_file))
     run_cli(capsys, *FAST_RUN, "--method", "pcd", "--alpha", "1.0", "--out", str(out_file))
-    rows = load_results(out_file)
+    rows = [json.loads(line) for line in out_file.read_text().splitlines()]
     assert len(rows) == 2
     assert rows[0]["method"] == "baseline" and rows[1]["method"] == "pcd"
     assert rows[0]["task"] == "reach"
@@ -142,7 +142,7 @@ def test_sweep_appends_rows_with_axis_configs(capsys, tmp_path) -> None:
         "--values", "none,brightness",
         "--out", str(out_file),
     )
-    rows = load_results(out_file)
+    rows = [json.loads(line) for line in out_file.read_text().splitlines()]
     assert [r["shift"] for r in rows] == ["none", "brightness"]
     assert rows[0]["config_hash"] != rows[1]["config_hash"]
 
@@ -249,6 +249,35 @@ def test_bad_inputs_exit_with_error(capsys, tmp_path) -> None:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: trials must be an integer")
+
+
+def test_non_finite_numbers_and_one_sample_exit_2(capsys, tmp_path, monkeypatch) -> None:
+    # each of these used to run: inf picked the lowest bin for every action,
+    # and one sample per branch raised inside the KDE in every episode; now
+    # each is bad input, refused before any episode runs
+    def no_episodes(cfg, workers=1):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(pcd.cli, "evaluate_batch", no_episodes)
+    monkeypatch.setattr(pcd.harness, "evaluate_batch", no_episodes)
+    mixture = ["--policy", "mixture", "--method", "pcd", "--trials", "4"]
+    argvs = [
+        ["run", *mixture, "--alpha", "inf"],
+        ["run", *mixture, "--alpha", "nan"],
+        ["run", *mixture, "--bandwidth", "inf"],
+        ["sweep", *mixture, "--axis", "alpha", "--values", "1,inf"],
+        ["sweep", *mixture, "--axis", "bandwidth", "--values", "0.01,inf"],
+        ["run", "--policy", "diffusion", "--n-samples", "1", "--trials", "2"],
+    ]
+    for text in ('{"decode": {"alpha": Infinity}}', '{"decode": {"alpha": 1e999}}'):
+        path = tmp_path / "inf.json"
+        path.write_text(text)
+        argvs.append(["run", "--config", str(path), *mixture])
+    for argv in argvs:
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:"), argv
+        assert "finite" in err or "n_samples must be at least 2" in err, err
 
 
 def test_errored_episodes_are_counted_and_exit_1(capsys, tmp_path, failing_policy) -> None:

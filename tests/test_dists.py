@@ -17,22 +17,18 @@ from scipy.stats import norm
 
 from pcd.dists import (
     BANDWIDTH_FLOOR,
-    ActionDistribution,
     BinGrid,
     CategoricalDist,
     DecodeConfig,
     KdeConfig,
     contrastive_combine,
-    contrastive_combine_multi,
     _resolve_bandwidths,
     _shared_grids,
     gaussian_kernel,
     kde_estimate_multi,
-    kde_estimate_one,
-    select_action,
     select_index,
 )
-
+from pcd.harness import _decode
 from pcd.policies import SpuriousMixtureParams, SpuriousMixturePolicy
 
 import reference_impl as frozen
@@ -183,36 +179,41 @@ def test_negative_alpha_rejected_at_config() -> None:
 
 
 def test_combine_multi_dimensionwise() -> None:
+    # the decode contrasts each dimension with its own masked counterpart
     grid = BinGrid(-1.0, 1.0, 4)
-    p = ActionDistribution(
-        (
-            CategoricalDist(grid, np.array([0.4, 0.3, 0.2, 0.1])),
-            CategoricalDist(grid, np.array([0.1, 0.2, 0.3, 0.4])),
-        )
+    p = (
+        CategoricalDist(grid, np.array([0.4, 0.3, 0.2, 0.1])),
+        CategoricalDist(grid, np.array([0.1, 0.2, 0.3, 0.4])),
     )
-    ph = ActionDistribution(
-        (
-            CategoricalDist(grid, np.array([0.25, 0.25, 0.25, 0.25])),
-            CategoricalDist(grid, np.array([0.4, 0.3, 0.2, 0.1])),
-        )
+    ph = (
+        CategoricalDist(grid, np.array([0.25, 0.25, 0.25, 0.25])),
+        CategoricalDist(grid, np.array([0.05, 0.1, 0.15, 0.7])),
     )
-    cfg = DecodeConfig(alpha=1.5)
-    out = contrastive_combine_multi(p, ph, cfg)
-    assert out.m == 2
-    for t in range(2):
-        single = contrastive_combine(p.dims[t], ph.dims[t], cfg)
-        np.testing.assert_allclose(out.dims[t].probs, single.probs, atol=EXACT_TOL, rtol=0.0)
+    for selection in ("greedy", "sample"):
+        cfg = DecodeConfig(alpha=1.5, selection=selection)
+        got = _decode(p, ph, cfg, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        singles = [contrastive_combine(d, dh, cfg) for d, dh in zip(p, ph)]
+        want = [d.grid.centers()[select_index(d, cfg, rng)] for d in singles]
+        assert got.shape == (2,) and got.tolist() == want
+    # the contrast moves dimension 1's mode down one bin, and dimension 0's
+    # not at all, as its masked counterpart is uniform
+    greedy = DecodeConfig(alpha=1.5)
+    assert _decode(p, None, greedy, None).tolist() == [-0.75, 0.75]
+    assert _decode(p, ph, greedy, None).tolist() == [-0.75, 0.25]
 
 
 def test_combine_multi_alpha_zero_and_mismatch() -> None:
     grid = BinGrid(-1.0, 1.0, 4)
-    p = ActionDistribution((CategoricalDist(grid, np.array([0.4, 0.3, 0.2, 0.1])),))
-    ph = ActionDistribution((CategoricalDist.uniform(grid),))
-    out = contrastive_combine_multi(p, ph, DecodeConfig(alpha=0.0))
-    assert out.dims[0] is p.dims[0]
-    two = ActionDistribution((CategoricalDist.uniform(grid), CategoricalDist.uniform(grid)))
+    p = (CategoricalDist(grid, np.array([0.1, 0.3, 0.4, 0.2])),)
+    ph = (CategoricalDist(grid, np.array([0.1, 0.1, 0.7, 0.1])),)
+    for selection in ("greedy", "sample"):
+        cfg = DecodeConfig(alpha=0.0, selection=selection)
+        got = _decode(p, ph, cfg, np.random.default_rng(2))
+        assert np.array_equal(got, _decode(p, None, cfg, np.random.default_rng(2)))
+    two = (CategoricalDist.uniform(grid), CategoricalDist.uniform(grid))
     with pytest.raises(ValueError, match="dimension count"):
-        contrastive_combine_multi(p, two, DecodeConfig(alpha=1.0))
+        _decode(p, two, DecodeConfig(alpha=1.0), None)
 
 
 # ------------------------------------------------------------------- kde
@@ -229,9 +230,10 @@ def scott(samples: np.ndarray) -> float:
 
 
 def kde1(samples, bandwidth: float, **grid) -> CategoricalDist:
-    """One dimension's KDE, on the grid kde_estimate_one builds for it."""
+    """One dimension's KDE, on the grid kde_estimate_multi builds for one view."""
     x = np.asarray(samples, dtype=np.float64)[:, None]
-    return kde_estimate_one(x, KdeConfig(bandwidth=bandwidth, **grid)).dims[0]
+    [[dist]] = kde_estimate_multi([x], KdeConfig(bandwidth=bandwidth, **grid))
+    return dist
 
 
 def test_scott_bandwidth_examples() -> None:
@@ -249,7 +251,7 @@ def test_scott_bandwidth_examples() -> None:
 def test_scott_bandwidth_rejects_empty() -> None:
     # the KDE refuses a branch too small to estimate before any bandwidth
     with pytest.raises(ValueError, match="at least 2"):
-        kde_estimate_one(np.array([]), KdeConfig())
+        kde_estimate_multi([np.array([])], KdeConfig())
 
 
 def test_kde_symmetry() -> None:
@@ -286,11 +288,11 @@ def test_kde_oracle_property(samples: list[float], bandwidth: float) -> None:
 
 def test_kde_input_validation() -> None:
     with pytest.raises(ValueError, match="at least 2"):
-        kde_estimate_one(np.zeros((0, 1)), KdeConfig(bandwidth=0.1))
+        kde_estimate_multi([np.zeros((0, 1))], KdeConfig(bandwidth=0.1))
     with pytest.raises(ValueError, match="non-finite"):
-        kde_estimate_one(np.array([[0.1], [math.nan]]), KdeConfig(bandwidth=0.1))
+        kde_estimate_multi([np.array([[0.1], [math.nan]])], KdeConfig(bandwidth=0.1))
     with pytest.raises(ValueError, match="non-finite"):
-        kde_estimate_one(np.array([[0.1], [-math.inf]]), KdeConfig())
+        kde_estimate_multi([np.array([[0.1], [-math.inf]])], KdeConfig())
 
 
 def test_kde_far_grid_degrades_to_uniform() -> None:
@@ -303,12 +305,12 @@ def test_kde_far_grid_degrades_to_uniform() -> None:
 
 def test_kde_grid_examples() -> None:
     cfg = KdeConfig(bandwidth=1.0, support_pad=4.0, grid_count=256)
-    g = kde_estimate_one(np.zeros((2, 1)), cfg).dims[0].grid
-    assert (g.lower, g.upper) == (-4.0, 4.0)
-    dist_o, dist_m = kde_estimate_multi(np.zeros((2, 1)), cfg, np.full((2, 1), 10.0))
-    g = dist_o.dims[0].grid
+    [[dist]] = kde_estimate_multi([np.zeros((2, 1))], cfg)
+    assert (dist.grid.lower, dist.grid.upper) == (-4.0, 4.0)
+    dist_o, dist_m = kde_estimate_multi([np.zeros((2, 1)), np.full((2, 1), 10.0)], cfg)
+    g = dist_o[0].grid
     assert (g.lower, g.upper) == (-4.0, 14.0)
-    assert g.count == 256 and dist_m.dims[0].grid == g
+    assert g.count == 256 and dist_m[0].grid == g
 
 
 @seed(6)
@@ -321,7 +323,7 @@ def test_kde_grid_margin_property(a: list[float], b: list[float], bw) -> None:
     cfg = KdeConfig(bandwidth=bw, support_pad=4.0)
     rows_a, rows_b = np.asarray(a)[None], np.asarray(b)[None]
     bw_a, bw_b = _resolve_bandwidths(rows_a, cfg), _resolve_bandwidths(rows_b, cfg)
-    [g] = _shared_grids(rows_a, rows_b, bw_a, bw_b, cfg)
+    [g] = _shared_grids([rows_a, rows_b], [bw_a, bw_b], cfg)
     pad = 4.0 * float(max(bw_a[0], bw_b[0]))  # either branch's margin holds
     both = np.asarray(a + b)
     slack = pad * 1e-9 + 1e-12  # float tolerance on the pad arithmetic
@@ -334,12 +336,12 @@ def test_kde_multi_single_dim_reduces() -> None:
     orig = rng.normal(0.0, 1.0, size=(24, 1))
     masked = rng.normal(0.5, 1.0, size=(24, 1))
     cfg = KdeConfig(bandwidth=0.2)
-    dist_o, dist_m = kde_estimate_multi(orig, cfg, masked)
-    assert dist_o.m == dist_m.m == 1
+    dist_o, dist_m = kde_estimate_multi([orig, masked], cfg)
+    assert len(dist_o) == len(dist_m) == 1
     grid = frozen.kde_grid(orig[:, 0], masked[:, 0], cfg)
-    assert dist_o.dims[0].grid == grid == dist_m.dims[0].grid
+    assert dist_o[0].grid == grid == dist_m[0].grid
     single = frozen.kde_estimate(orig[:, 0], grid, 0.2)
-    np.testing.assert_allclose(dist_o.dims[0].probs, single.probs, atol=EXACT_TOL, rtol=0.0)
+    np.testing.assert_allclose(dist_o[0].probs, single.probs, atol=EXACT_TOL, rtol=0.0)
 
 
 def test_kde_multi_seven_dims_and_permutation() -> None:
@@ -347,39 +349,44 @@ def test_kde_multi_seven_dims_and_permutation() -> None:
     orig = rng.normal(size=(24, 7))
     masked = rng.normal(size=(24, 7))
     cfg = KdeConfig()
-    dist_o, dist_m = kde_estimate_multi(orig, cfg, masked)
-    assert dist_o.m == 7 and dist_m.m == 7
+    dist_o, dist_m = kde_estimate_multi([orig, masked], cfg)
+    assert len(dist_o) == 7 and len(dist_m) == 7
     perm = rng.permutation(24)
-    dist_o2, dist_m2 = kde_estimate_multi(orig[perm], cfg, masked[perm[::-1]])
+    dist_o2, dist_m2 = kde_estimate_multi([orig[perm], masked[perm[::-1]]], cfg)
+    # the views' order moves no grid: min and max are exact
+    dist_m3, dist_o3 = kde_estimate_multi([masked, orig], cfg)
     for t in range(7):
-        np.testing.assert_allclose(
-            dist_o.dims[t].probs, dist_o2.dims[t].probs, atol=EXACT_TOL, rtol=0.0
-        )
-        np.testing.assert_allclose(
-            dist_m.dims[t].probs, dist_m2.dims[t].probs, atol=EXACT_TOL, rtol=0.0
-        )
+        np.testing.assert_allclose(dist_o[t].probs, dist_o2[t].probs, atol=EXACT_TOL, rtol=0.0)
+        np.testing.assert_allclose(dist_m[t].probs, dist_m2[t].probs, atol=EXACT_TOL, rtol=0.0)
+        for got, want in ((dist_o3[t], dist_o[t]), (dist_m3[t], dist_m[t])):
+            assert got.grid == want.grid and np.array_equal(got.probs, want.probs)
 
 
 def test_kde_multi_validation() -> None:
     cfg = KdeConfig()
     with pytest.raises(ValueError, match="dimension mismatch"):
-        kde_estimate_multi(np.zeros((4, 2)), cfg, np.zeros((4, 3)))
+        kde_estimate_multi([np.zeros((4, 2)), np.zeros((4, 3))], cfg)
     with pytest.raises(ValueError, match="at least 2"):
-        kde_estimate_multi(np.zeros((1, 2)), cfg, np.zeros((4, 2)))
+        kde_estimate_multi([np.zeros((1, 2)), np.zeros((4, 2))], cfg)
+    with pytest.raises(ValueError, match="at least 2"):
+        kde_estimate_multi([np.zeros((4, 2)), np.zeros((1, 2))], cfg)
     bad = np.zeros((4, 2))
     bad[2, 1] = math.inf
     with pytest.raises(ValueError, match="dimension 1"):
-        kde_estimate_multi(bad, cfg, np.zeros((4, 2)))
+        kde_estimate_multi([bad, np.zeros((4, 2))], cfg)
+    with pytest.raises(ValueError, match="dimension 1"):
+        kde_estimate_multi([np.zeros((4, 2)), bad], cfg)
 
 
 def assert_same_as_frozen(samples, cfg: KdeConfig, samples_masked) -> None:
     """kde_estimate_multi gives the frozen per-column copy's grids, its
     bandwidths and its bits."""
-    ours = kde_estimate_multi(samples, cfg, samples_masked)
+    ours = kde_estimate_multi([samples, samples_masked], cfg)
     want = frozen.kde_estimate_multi_columns(samples, cfg, samples_masked)
+    assert len(ours) == 2
     for got, expect in zip(ours, want):
-        assert got.m == expect.m
-        for g, w in zip(got.dims, expect.dims):
+        assert len(got) == len(expect)
+        for g, w in zip(got, expect):
             assert g.grid == w.grid
             assert np.array_equal(g.probs, w.probs)
     for rows in (samples.T, samples_masked.T):
@@ -425,16 +432,16 @@ def test_kde_multi_edge_cases_match_the_frozen_copy() -> None:
     cfg = KdeConfig(bandwidth=0.1, support_pad=0.0)
     same = np.full((5, 2), 0.3)
     assert_same_as_frozen(same, cfg, same)
-    dist_o, _ = kde_estimate_multi(same, cfg, same)
-    assert dist_o.dims[0].grid.upper - dist_o.dims[0].grid.lower == pytest.approx(
+    dist_o, _ = kde_estimate_multi([same, same], cfg)
+    assert dist_o[0].grid.upper - dist_o[0].grid.lower == pytest.approx(
         2 * BANDWIDTH_FLOOR
     )
     # a bandwidth so small that every kernel underflows: the uniform fallback
     cfg = KdeConfig(bandwidth=1e-6, support_pad=0.0)
     spread = np.array([[0.0, 0.0], [1.0, 2.0]])
     assert_same_as_frozen(spread, cfg, spread)
-    dist_o, dist_m = kde_estimate_multi(spread, cfg, spread)
-    for d in dist_o.dims + dist_m.dims:
+    dist_o, dist_m = kde_estimate_multi([spread, spread], cfg)
+    for d in dist_o + dist_m:
         assert np.array_equal(d.probs, CategoricalDist.uniform(d.grid).probs)
 
 
@@ -453,18 +460,19 @@ def test_kde_multi_edge_cases_match_the_frozen_copy() -> None:
 def test_kde_one_equals_the_first_branch_of_the_frozen_copy(
     n, dims, log_spread, constant, bandwidth, support_pad, grid_count, stream
 ) -> None:
-    # the baseline arm's KDE: the one branch of kde_estimate_multi(x, cfg, x)
+    # the baseline arm's KDE, of one view: the first branch of the frozen
+    # copy on (x, cfg, x), and of the KDE of two copies of the view
     rng = np.random.default_rng(stream)
     samples = rng.normal(rng.normal(), 10.0**log_spread, size=(n, dims))
     for t in range(dims):
         if constant[t]:  # zero spread: the scott rule hits BANDWIDTH_FLOOR
             samples[:, t] = 0.25
     cfg = KdeConfig(bandwidth=bandwidth, grid_count=grid_count, support_pad=support_pad)
-    got = kde_estimate_one(samples, cfg)
+    [got] = kde_estimate_multi([samples], cfg)
     want, _ = frozen.kde_estimate_multi_columns(samples, cfg, samples)
-    both, _ = kde_estimate_multi(samples, cfg, samples)
-    assert got.m == want.m == both.m == dims
-    for g, w, b in zip(got.dims, want.dims, both.dims):
+    both, _ = kde_estimate_multi([samples, samples], cfg)
+    assert len(got) == len(want) == len(both) == dims
+    for g, w, b in zip(got, want, both):
         assert g.grid == w.grid == b.grid
         assert np.array_equal(g.probs, w.probs) and np.array_equal(g.probs, b.probs)
 
@@ -477,14 +485,15 @@ def test_kde_one_edge_cases_and_validation() -> None:
     ]
     for samples, cfg in cases:
         want, _ = frozen.kde_estimate_multi_columns(samples, cfg, samples)
-        for g, w in zip(kde_estimate_one(samples, cfg).dims, want.dims):
+        [got] = kde_estimate_multi([samples], cfg)
+        for g, w in zip(got, want):
             assert g.grid == w.grid and np.array_equal(g.probs, w.probs)
     with pytest.raises(ValueError, match="at least 2"):
-        kde_estimate_one(np.zeros((1, 2)), KdeConfig())
+        kde_estimate_multi([np.zeros((1, 2))], KdeConfig())
     bad = np.zeros((4, 3))
     bad[2, 1] = math.nan
     with pytest.raises(ValueError, match="dimension 1"):
-        kde_estimate_one(bad, KdeConfig())
+        kde_estimate_multi([bad], KdeConfig())
 
 
 @seed(7)
@@ -499,10 +508,10 @@ def test_grid_sharing_never_trips_combine(shift: float, alpha: float, n: int) ->
     rng = np.random.default_rng(max(2, n))
     orig = rng.normal(0.0, 0.3, size=(n, 3))
     masked = rng.normal(shift, 0.3, size=(n, 3))
-    dist_o, dist_m = kde_estimate_multi(orig, KdeConfig(), masked)
-    out = contrastive_combine_multi(dist_o, dist_m, DecodeConfig(alpha=alpha))
-    for d in out.dims:
-        assert abs(float(d.probs.sum()) - 1.0) <= SUM_TOL
+    dist_o, dist_m = kde_estimate_multi([orig, masked], KdeConfig())
+    for d, dm in zip(dist_o, dist_m):
+        out = contrastive_combine(d, dm, DecodeConfig(alpha=alpha))
+        assert abs(float(out.probs.sum()) - 1.0) <= SUM_TOL
 
 
 # ------------------------------------------------------------- selection
@@ -510,8 +519,8 @@ def test_grid_sharing_never_trips_combine(shift: float, alpha: float, n: int) ->
 
 def test_greedy_picks_prob_one_center() -> None:
     grid = BinGrid(0.0, 1.0, 2)  # centers 0.25 and 0.75
-    dist = ActionDistribution((CategoricalDist(grid, np.array([1.0, 0.0])),))
-    act = select_action(dist, DecodeConfig(selection="greedy"), np.random.default_rng(0))
+    dist = CategoricalDist(grid, np.array([1.0, 0.0]))
+    act = _decode((dist,), None, DecodeConfig(selection="greedy"), None)
     assert act.shape == (1,)
     assert act[0] == 0.25
 
@@ -521,7 +530,7 @@ def test_greedy_tie_breaks_low() -> None:
     dist = CategoricalDist(grid, np.array([0.4, 0.4, 0.2]))
     greedy = DecodeConfig(selection="greedy")
     assert select_index(dist, greedy, np.random.default_rng(0)) == 0
-    assert select_action(ActionDistribution((dist,)), greedy, np.random.default_rng(0))[0] == 0.5
+    assert _decode((dist,), None, greedy, None)[0] == 0.5
 
 
 def test_sample_selection_reproducible_and_calibrated() -> None:
@@ -597,14 +606,15 @@ def package_dists() -> list[CategoricalDist]:
     """Distributions the package built through its trusted constructor."""
     rng = np.random.default_rng(31)
     orig, masked = kde_estimate_multi(
-        rng.normal(size=(24, 3)), KdeConfig(), rng.normal(0.3, 1.5, size=(24, 3))
+        [rng.normal(size=(24, 3)), rng.normal(0.3, 1.5, size=(24, 3))], KdeConfig()
     )
-    combined = contrastive_combine_multi(orig, masked, DecodeConfig(alpha=1.5))
+    cfg = DecodeConfig(alpha=1.5)
+    combined = [contrastive_combine(d, dm, cfg) for d, dm in zip(orig, masked)]
     far = kde1([0.0, 1.0], 1e-6, grid_count=16, support_pad=0.0)  # underflow: uniform
     policy = SpuriousMixturePolicy(SpuriousMixtureParams(lam=0.4))
     percepts = [((0.2, 0.3), (0.6, 0.5), (0.1, 0.9)), ((0.5, 0.5), None, (0.52, 0.5))]
     predicted = [policy.predict_from(p, t) for p in percepts for t in range(policy.m)]
-    return [*orig.dims, *masked.dims, *combined.dims, far, *predicted]
+    return [*orig, *masked, *combined, far, *predicted]
 
 
 def test_trusted_categorical_equals_the_checked_constructor() -> None:
@@ -622,9 +632,11 @@ def test_trusted_categorical_equals_the_checked_constructor() -> None:
             dist.probs[0] = 0.5
 
 
-def test_action_distribution_needs_a_dim() -> None:
-    with pytest.raises(ValueError, match="at least one"):
-        ActionDistribution(())
+def test_kde_needs_a_view_and_an_action_dimension() -> None:
+    with pytest.raises(ValueError, match="at least one view"):
+        kde_estimate_multi([], KdeConfig())
+    with pytest.raises(ValueError, match="at least one action dimension"):
+        kde_estimate_multi([np.zeros((4, 0)), np.zeros((4, 0))], KdeConfig())
 
 
 def test_config_validation() -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import statistics
 from dataclasses import fields, replace
 from pathlib import Path
@@ -30,19 +31,18 @@ from pcd.config import (
     to_dict,
 )
 import pcd.harness
-from pcd.dists import DecodeConfig, KdeConfig
+from pcd.dists import DecodeConfig, KdeConfig, kde_estimate_multi
 from pcd.harness import (
     BatchResult,
     EpisodeRecord,
     StepLog,
-    _decode_autoregressive,
+    _decider,
+    _decode,
     append_results,
-    batch_from_row,
     build_policy,
     discrete_mi,
     estimate_mi,
     evaluate_batch,
-    load_results,
     paired_bootstrap_pvalue,
     result_row,
     run_episode,
@@ -506,8 +506,10 @@ def without_gripper(obs: Observation) -> Observation:
 def test_decode_autoregressive_equals_the_frozen_prefix_loop(
     task, shift, scene_seed, moves, view, masked, alpha, lam, selection, step
 ) -> None:
-    # one perception pass per view must give the actions of predicting
-    # each dimension from scratch after the prefix, on the same select draws
+    # the mixture policy's decider perceives each view once and decodes its
+    # dimensions through the one decode; that must give the actions of
+    # predicting each dimension from scratch after the prefix, on the same
+    # select draws
     world = World(make_task(task), ShiftSpec(kind=shift))
     scene, obs = world.reset(scene_seed)
     rng = np.random.default_rng(scene_seed)
@@ -531,9 +533,7 @@ def test_decode_autoregressive_equals_the_frozen_prefix_loop(
     policy = SpuriousMixturePolicy(SpuriousMixtureParams(lam=lam))
     decode_cfg = DecodeConfig(alpha=alpha, selection=selection)
     instruction = world.task.instruction
-    got = _decode_autoregressive(
-        policy, obs, obs_masked, instruction, decode_cfg, substream(scene_seed, "select", step)
-    )
+    got = _decider(policy, instruction, scene_seed, decode_cfg)(obs, obs_masked, scene, step)
     expect = frozen.decode_autoregressive(
         policy, obs, obs_masked, instruction, decode_cfg, substream(scene_seed, "select", step)
     )
@@ -543,6 +543,49 @@ def test_decode_autoregressive_equals_the_frozen_prefix_loop(
         dist = policy.predict(obs, instruction, prefix)
         assert dist.grid == policy.grids[t]
         assert np.array_equal(dist.probs, frozen.predict(policy, obs, instruction, prefix).probs)
+
+
+@seed(47)
+@settings(max_examples=150, deadline=None)
+@given(
+    views=st.sampled_from((1, 2)),
+    n=st.integers(2, 64),
+    n_masked=st.integers(2, 64),
+    dims=st.integers(1, 4),
+    log_spread=st.floats(min_value=-8.0, max_value=1.0),
+    shift=st.floats(min_value=-2.0, max_value=2.0),
+    bandwidth=st.just("scott") | st.just(1e-6) | st.floats(min_value=1e-4, max_value=1.0),
+    support_pad=st.sampled_from((0.0, 4.0)),
+    grid_count=st.integers(16, 300),
+    alpha=st.sampled_from((0.0, 0.7, 2.0)) | st.floats(min_value=0.0, max_value=4.0),
+    selection=st.sampled_from(("greedy", "sample")),
+    stream=st.integers(0, 2**32 - 1),
+)
+def test_sampler_decode_equals_the_frozen_columns_and_select_loop(
+    views, n, n_masked, dims, log_spread, shift, bandwidth, support_pad, grid_count, alpha,
+    selection, stream,
+) -> None:
+    # a sampler step's decode, the KDE of every view and then the one decode,
+    # must give the action of the frozen per-column KDE and the frozen
+    # combine-and-select loop, on the same select draws; a bandwidth of 1e-6
+    # with no pad makes kernels underflow to the uniform fallback
+    rng = np.random.default_rng(stream)
+    spread = 10.0**log_spread
+    draws = [rng.normal(0.0, spread, size=(n, dims))]
+    if views == 2:
+        draws.append(rng.normal(shift, spread, size=(n_masked, dims)))
+    kde_cfg = KdeConfig(bandwidth=bandwidth, grid_count=grid_count, support_pad=support_pad)
+    decode_cfg = DecodeConfig(alpha=alpha, selection=selection)
+    per_view = kde_estimate_multi(draws, kde_cfg)
+    assert len(per_view) == views
+    dims_masked = per_view[1] if views == 2 else None
+    got = _decode(per_view[0], dims_masked, decode_cfg, np.random.default_rng(stream + 1))
+    want = frozen.decode_draws(draws, kde_cfg, decode_cfg, np.random.default_rng(stream + 1))
+    assert got.shape == (dims,) and np.array_equal(got, want)
+    if alpha == 0.0:
+        # a contrast of strength 0 leaves the original view's action as it is
+        plain = _decode(per_view[0], None, decode_cfg, np.random.default_rng(stream + 1))
+        assert np.array_equal(got, plain)
 
 
 def test_observer_receives_the_pre_step_scene() -> None:
@@ -699,39 +742,18 @@ def test_results_round_trip_exactly(tmp_path) -> None:
     path = tmp_path / "results.jsonl"
     append_results(path, row)
     append_results(path, [result_row(cfg, result, timestamp=1235.5)])
-    rows = load_results(path)
-    assert len(rows) == 2
-    assert rows[0] == row
-    rebuilt = batch_from_row(rows[0])
-    assert rebuilt.rate_completion == result.rate_completion
-    assert rebuilt.rate_maxstep == result.rate_maxstep
-    assert rebuilt.mean_ms == result.mean_ms
-    assert rebuilt.config_hash == result.config_hash
-    assert rebuilt.records is None
     failed = replace(result, n_errors=3)
     append_results(path, result_row(cfg, failed, timestamp=1236.5))
-    row = load_results(path)[2]
-    assert batch_from_row(row).n_errors == 3
-    # Rows saved before the count was stored still load, with no errors.
-    del row["n_errors"]
-    assert batch_from_row(row).n_errors == 0
-
-
-def test_malformed_results_name_the_line(tmp_path) -> None:
-    path = tmp_path / "results.jsonl"
-    cfg = mixture_cfg(trials=2)
-    append_results(path, result_row(cfg, evaluate_batch(cfg), timestamp=0.0))
-    with open(path, "a") as fh:
-        fh.write("{not json\n")
-    with pytest.raises(ValueError, match=r"results\.jsonl:2"):
-        load_results(path)
-    missing = tmp_path / "short.jsonl"
-    with open(missing, "w") as fh:
-        fh.write('{"config_hash": "x"}\n')
-    with pytest.raises(ValueError, match=r"short\.jsonl:1"):
-        load_results(missing)
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(rows) == 3
+    assert rows[0] == row
+    assert rows[0]["rate_completion"] == result.rate_completion
+    assert rows[0]["mean_ms"] == result.mean_ms
+    assert rows[0]["config_hash"] == result.config_hash
+    assert [r["n_errors"] for r in rows] == [0, 0, 3]
     with pytest.raises(ValueError, match="missing fields"):
         append_results(path, {"config_hash": "x"})
+    assert len(path.read_text().splitlines()) == 3  # nothing of the bad row written
 
 
 def test_config_hash_tracks_every_field() -> None:
@@ -813,6 +835,39 @@ def test_config_rejects_unknown_keys() -> None:
     assert from_dict({"kde": {"bandwidth": "scott"}}).kde.bandwidth == "scott"
 
 
+def test_config_rejects_non_finite_numbers() -> None:
+    # JSON's Infinity, NaN and 1e999 load as floats, and every number field
+    # refuses them by its JSON path
+    cases = [
+        ('{"decode": {"alpha": Infinity}}', r"decode\.alpha"),
+        ('{"decode": {"alpha": 1e999}}', r"decode\.alpha"),
+        ('{"kde": {"bandwidth": -Infinity}}', r"kde\.bandwidth"),
+        ('{"kde": {"support_pad": NaN}}', r"kde\.support_pad"),
+        ('{"policy": {"lambda": NaN}}', r"policy\.lambda"),
+        ('{"shift": {"brightness_offset": 1e999}}', r"shift\.brightness_offset"),
+    ]
+    for text, path in cases:
+        with pytest.raises(ValueError, match=rf"^{path} must be a finite number"):
+            from_dict(json.loads(text))
+    # sweeps and library callers build configs without from_dict, so each
+    # float field checks too: an infinite alpha or sharpness used to put
+    # every action in the lowest bin with no error counted
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            DecodeConfig(alpha=value)
+        with pytest.raises(ValueError, match="bandwidth must be finite"):
+            KdeConfig(bandwidth=value)
+        with pytest.raises(ValueError, match="support_pad must be finite"):
+            KdeConfig(support_pad=value)
+        with pytest.raises(ValueError, match="sharpness must be finite"):
+            PolicyConfig(sharpness=value)
+        with pytest.raises(ValueError, match="brightness offset"):
+            ShiftSpec(brightness_offset=value)
+    with pytest.raises(ValueError, match="n_samples must be at least 2"):
+        KdeConfig(n_samples=1)
+    assert KdeConfig(n_samples=2).n_samples == 2
+
+
 def test_calibrated_configs_hash_and_round_trip() -> None:
     report = json.loads(CALIBRATED.read_text())
     for name, expected in CALIBRATED_HASHES.items():
@@ -849,7 +904,7 @@ RUN_CONFIGS = every_field(
     ),
     kde=every_field(
         KdeConfig,
-        n_samples=st.integers(min_value=1, max_value=256),
+        n_samples=st.integers(min_value=2, max_value=256),
         bandwidth=st.just("scott") | st.floats(min_value=1e-4, max_value=1.0),
         grid_count=st.integers(min_value=16, max_value=1024),
         support_pad=st.floats(min_value=0.0, max_value=10.0),

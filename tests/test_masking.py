@@ -24,6 +24,7 @@ from pcd.masking import (
     TrackerState,
     annotate_initial,
     inpaint,
+    _shift_bitmap,
     track,
 )
 from pcd.policies import ScriptedExpert
@@ -140,6 +141,37 @@ def test_detector_jitter_is_seeded_and_bounded() -> None:
         for s in range(10)
     )
     assert seeds_differing > 0
+
+
+def shifted_cell_by_cell(bitmap: np.ndarray, dx: int, dy: int) -> np.ndarray:
+    """Each set cell moved by (dx, dy), or dropped when it leaves the raster."""
+    h, w = bitmap.shape
+    out = np.zeros_like(bitmap)
+    for y, x in zip(*np.nonzero(bitmap)):
+        if 0 <= y + dy < h and 0 <= x + dx < w:
+            out[y + dy, x + dx] = True
+    return out
+
+
+@pytest.mark.parametrize("h, w", [(32, 32), (5, 7)])
+def test_shift_bitmap_matches_a_cell_by_cell_shift(h: int, w: int) -> None:
+    # shifts of w < |shift| < 2w used to raise "could not broadcast"
+    bitmap = np.random.default_rng(h * w).random((h, w)) < 0.4
+    sizes = {k * s for n in (h, w) for k in (1, -1) for s in (n - 1, n, n + 1, 2 * n - 1, 2 * n)}
+    for dx in sorted(sizes | {0, 1, -2}):
+        for dy in sorted(sizes | {0, -1, 2}):
+            got = _shift_bitmap(bitmap, dx, dy)
+            assert got.shape == bitmap.shape and got.dtype == bitmap.dtype
+            assert np.array_equal(got, shifted_cell_by_cell(bitmap, dx, dy)), (dx, dy)
+
+
+def test_detector_jitter_beyond_the_raster_width_runs() -> None:
+    world, scene, obs = reach_scene()
+    truth = lambda label: world.ground_truth_mask(scene, label).bitmap
+    prompt = DetectorPrompt("red_block", jitter=40)
+    for s in range(60):
+        mask, _ = annotate_initial(obs, prompt, truth=truth, rng=np.random.default_rng(s))
+        assert mask.bitmap.shape == (obs.height, obs.width)
 
 
 def test_detector_requires_truth_and_rng() -> None:
@@ -343,7 +375,7 @@ def test_inpaint_output_is_a_trusted_read_only_observation() -> None:
     trusted = Observation._trusted(planes, 4)
     assert trusted.planes is planes and not planes.flags.writeable
     assert trusted.step_index == 4
-    assert trusted.same_pixels(Observation(planes, 4))
+    assert np.array_equal(trusted.planes, Observation(planes, 4).planes)
 
 
 def test_mask_union_and_validation() -> None:
